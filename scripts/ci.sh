@@ -97,8 +97,10 @@ EOF
     echo "daemon smoke (${tag}): byte-identical reports, clean drain"
 }
 
-# Fleet smoke: spawn a 2-worker p10d fleet through p10fleet, SIGKILL
-# one worker mid-sweep via the built-in chaos harness, and require a
+# Fleet smoke: first a fault-free 2-worker run, which must reproduce
+# the offline p10sweep_cli bytes with no requeue, protocol error or
+# dead worker in its --fleet-stats sidecar. Then the same fleet with
+# one worker SIGKILLed mid-sweep via the built-in chaos harness: a
 # zero exit with a merged report byte-identical to the same flavour's
 # offline p10sweep_cli output. Then the same chaos run with the flight
 # recorder on (--trace-out/--metrics-out): the merged bytes must not
@@ -112,10 +114,26 @@ fleet_smoke() {
     local dir="${smoke_dir}/fleet-${tag}"
     rm -rf "${dir}"
     mkdir -p "${dir}"
-    echo "=== fleet smoke (${tag}): chaos kill + degraded byte identity ==="
+    echo "=== fleet smoke (${tag}): clean + chaos kill + degraded byte identity ==="
     "${build}/examples/p10sweep_cli" \
         --spec "${smoke_dir}/sweep_smoke.json" --jobs 2 \
         --out "${dir}/CLI_sweep.json" >/dev/null
+    "${build}/examples/p10fleet" \
+        --spec "${smoke_dir}/sweep_smoke.json" --spawn 2 \
+        --out "${dir}/FLEET_clean.json" \
+        --fleet-stats "${dir}/FLEET_clean_stats.json" \
+        > /dev/null 2> "${dir}/clean.err"
+    cmp "${dir}/CLI_sweep.json" "${dir}/FLEET_clean.json"
+    python3 - "${dir}/FLEET_clean_stats.json" <<'EOF'
+import json, sys
+stats = json.load(open(sys.argv[1]))["scalars"]
+# No chaos, so nothing may look like a fault: a false heartbeat silence
+# or lease expiry would show up as a requeue.
+for key in ("fleet.reassigned", "fleet.protocol_errors",
+            "fleet.workers_dead"):
+    assert stats[key] == 0, (key, stats)
+print("fleet clean run: no requeues, protocol errors or dead workers")
+EOF
     "${build}/examples/p10fleet" \
         --spec "${smoke_dir}/sweep_smoke.json" --spawn 2 \
         --chaos-kill "0@150" --heartbeat-ms 50 \
@@ -158,7 +176,7 @@ EOF
         > /dev/null 2> "${dir}/degraded.err"
     grep -q "no workers configured" "${dir}/degraded.err"
     cmp "${dir}/CLI_sweep.json" "${dir}/FLEET_degraded.json"
-    echo "fleet smoke (${tag}): chaos and degraded runs byte-identical"
+    echo "fleet smoke (${tag}): clean, chaos and degraded runs byte-identical"
 }
 
 # Chip smoke: the multi-core chip path end to end on one flavour's

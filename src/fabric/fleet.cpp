@@ -58,7 +58,8 @@ parseAddress(const std::string& text)
     return addr;
 }
 
-/** Dial host:port with a connect timeout; -1 on any failure. */
+/** Dial host:port with a connect timeout, Nagle off; -1 on any
+    failure. */
 int
 tcpConnect(const std::string& host, uint16_t port, int timeoutMs)
 {
@@ -92,6 +93,7 @@ tcpConnect(const std::string& host, uint16_t port, int timeoutMs)
         }
         if (rc == 0) {
             ::fcntl(fd, F_SETFL, flags); // back to blocking
+            service::setNoDelay(fd);
             break;
         }
         ::close(fd);

@@ -165,17 +165,17 @@ Daemon::waitUntilStopped()
         for (const auto& conn : conns_)
             ::shutdown(conn->fd, SHUT_RDWR); // wake blocked readers
     }
-    std::vector<std::thread> readers;
+    std::map<std::thread::id, std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         readers.swap(readers_);
     }
-    for (std::thread& t : readers)
-        if (t.joinable())
-            t.join();
+    for (auto& [tid, t] : readers)
+        t.join();
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         conns_.clear();
+        finishedReaders_.clear();
     }
     if (listenFd_ >= 0) {
         ::close(listenFd_);
@@ -188,6 +188,7 @@ void
 Daemon::acceptLoop()
 {
     while (!draining_.load()) {
+        reapReaders();
         pollfd pfd{listenFd_, POLLIN, 0};
         int rc = ::poll(&pfd, 1, 100); // tick so drain is noticed
         if (rc < 0) {
@@ -200,14 +201,34 @@ Daemon::acceptLoop()
         int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
+        setNoDelay(fd);
         connections_.fetch_add(1);
         obs::metrics().add(daemonMetrics().connections);
         auto conn = std::make_shared<Connection>(fd);
+        // Registered under the lock the reader takes on exit, so a
+        // reader never reports itself finished before it is in readers_.
         std::lock_guard<std::mutex> lock(connsMu_);
         conns_.push_back(conn);
-        readers_.emplace_back(
-            [this, conn] { readerLoop(std::move(conn)); });
+        std::thread reader([this, conn] { readerLoop(conn); });
+        readers_.emplace(reader.get_id(), std::move(reader));
     }
+}
+
+void
+Daemon::reapReaders()
+{
+    std::vector<std::thread> finished;
+    {
+        std::lock_guard<std::mutex> lock(connsMu_);
+        for (std::thread::id tid : finishedReaders_) {
+            auto it = readers_.find(tid);
+            finished.push_back(std::move(it->second));
+            readers_.erase(it);
+        }
+        finishedReaders_.clear();
+    }
+    for (std::thread& t : finished)
+        t.join();
 }
 
 void
@@ -270,6 +291,13 @@ Daemon::readerLoop(std::shared_ptr<Connection> conn)
         // sees EOF instead of a socket that never speaks again.
         ::shutdown(conn->fd, SHUT_RDWR);
     }
+
+    // Release the connection: its fd closes once no queued or running
+    // job still holds it, and the accept loop joins this thread (a
+    // thread cannot join itself).
+    std::lock_guard<std::mutex> lock(connsMu_);
+    conns_.erase(std::find(conns_.begin(), conns_.end(), conn));
+    finishedReaders_.push_back(std::this_thread::get_id());
 }
 
 void
@@ -478,28 +506,24 @@ Daemon::executeShard(Job& job)
 
     // Heartbeats bracket the WHOLE execution — remote cache waits
     // included — so the coordinator's liveness window never depends on
-    // which phase the shard is in. The pump is joined before the
-    // terminal line goes out: a coordinator never sees a heartbeat
-    // after shard_done.
-    std::atomic<bool> done{false};
+    // which phase the shard is in. The pump sleeps on a condition
+    // variable that completion notifies, so it exits at once, and it is
+    // joined before the terminal line goes out: a coordinator never
+    // sees a heartbeat after shard_done.
+    std::mutex pumpMu;
+    std::condition_variable pumpCv;
+    bool done = false; // guarded by pumpMu
     std::thread heartbeat;
-    if (job.req.heartbeatMs > 0) {
-        auto send = job.send;
-        const uint64_t intervalMs = job.req.heartbeatMs;
-        heartbeat = std::thread([send, id, trace, intervalMs, &done] {
-            auto last = std::chrono::steady_clock::now();
-            while (!done.load()) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-                auto now = std::chrono::steady_clock::now();
-                if (now - last >=
-                    std::chrono::milliseconds(intervalMs)) {
-                    send(heartbeatLine(id, trace));
-                    last = now;
-                }
+    if (job.req.heartbeatMs > 0)
+        heartbeat = std::thread([&] {
+            const std::chrono::milliseconds interval(job.req.heartbeatMs);
+            std::unique_lock<std::mutex> lock(pumpMu);
+            while (!pumpCv.wait_for(lock, interval, [&] { return done; })) {
+                lock.unlock();
+                job.send(heartbeatLine(id, trace));
+                lock.lock();
             }
         });
-    }
 
     api::ShardOptions shardOpts;
     shardOpts.maxCyclesOverride = job.req.timeoutCycles;
@@ -517,7 +541,11 @@ Daemon::executeShard(Job& job)
     Expected<api::ShardOutcome> outcomeOr =
         service_.runShard(job.req.spec, job.req.shardIndex, shardOpts);
 
-    done.store(true);
+    {
+        std::lock_guard<std::mutex> lock(pumpMu);
+        done = true;
+    }
+    pumpCv.notify_one();
     if (heartbeat.joinable())
         heartbeat.join();
 

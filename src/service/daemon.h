@@ -7,7 +7,8 @@
  *
  * Architecture:
  *  - one accept thread polls the listen socket (100 ms tick so drain
- *    is noticed promptly) and spawns a reader thread per connection;
+ *    is noticed promptly), spawns a reader thread per connection and
+ *    joins the readers of closed connections;
  *  - reader threads parse request lines (hostile-input safe — any
  *    parse failure becomes an `error` event, never an abort), answer
  *    `stats`/`cancel`/`shutdown` inline, and enqueue `run`/`sweep`
@@ -132,6 +133,7 @@ class Daemon
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Connection> conn);
+    void reapReaders();
     void executorLoop();
     void handleLine(const std::shared_ptr<Connection>& conn,
                     std::string_view line);
@@ -155,8 +157,12 @@ class Daemon
 
     std::thread acceptThread_;
     std::vector<std::thread> executors_;
-    std::vector<std::thread> readers_;
-    std::mutex connsMu_; ///< guards conns_ and readers_
+    std::mutex connsMu_; ///< guards readers_, finishedReaders_, conns_
+    std::map<std::thread::id, std::thread> readers_;
+    /** Readers that have exited and wait for the accept loop to join
+        them. */
+    std::vector<std::thread::id> finishedReaders_;
+    /** Open connections, each dropped by its reader on exit. */
     std::vector<std::shared_ptr<Connection>> conns_;
 
     /** Queued + running request ids → their cancel flags (duplicate-id

@@ -2,6 +2,10 @@
 
 #include <cstdio>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include "common/hex.h"
 #include "obs/json.h"
 #include "obs/trace.h"
@@ -486,6 +490,13 @@ extractReport(std::string_view line)
     return std::string(
         line.substr(at + marker.size(),
                     line.size() - (at + marker.size()) - 1));
+}
+
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 } // namespace p10ee::service

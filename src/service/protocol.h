@@ -197,6 +197,16 @@ common::Expected<uint64_t> parseCacheKeyHex(const std::string& text);
  */
 common::Expected<std::string> extractReport(std::string_view doneLine);
 
+/**
+ * Turn off Nagle's algorithm on a connected NDJSON stream socket. Both
+ * ends call it: a worker writes `accepted` and then `shard_done` before
+ * the coordinator says anything, and with Nagle on the second line
+ * waits for the peer to ACK the first, which Linux delays by up to
+ * 40 ms. Every line is one complete message, so nothing is gained by
+ * coalescing them. Best-effort: a failure only costs latency.
+ */
+void setNoDelay(int fd);
+
 } // namespace p10ee::service
 
 #endif // P10EE_SERVICE_PROTOCOL_H

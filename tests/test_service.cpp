@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -738,6 +739,100 @@ TEST(Daemon, StatsReportLiveMetrics)
     EXPECT_EQ(field(stats, "queue_depth"), "0");
     // Extended stats stay backward compatible: new keys only.
     EXPECT_EQ(field(stats, "connections"), "1");
+
+    daemon.waitUntilStopped();
+}
+
+/** Open file descriptors of this process (test client + in-process
+    daemon). */
+size_t
+openFdCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST(Daemon, ClosedConnectionsAreReleased)
+{
+    service::Daemon daemon(service::DaemonOptions{});
+    ASSERT_TRUE(daemon.start().ok());
+    const size_t before = openFdCount();
+
+    for (int i = 0; i < 64; ++i) {
+        Client client(daemon.port());
+        client.sendLine("{\"type\":\"stats\"}");
+        ASSERT_EQ(field(client.readLine(), "event"), "stats");
+    }
+
+    // The daemon notices each hang-up asynchronously; give its readers
+    // a bounded moment to exit before judging.
+    size_t after = openFdCount();
+    for (int i = 0; i < 250 && after > before + 4; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        after = openFdCount();
+    }
+    EXPECT_LE(after, before + 4)
+        << "64 closed connections left " << after - before
+        << " descriptors open";
+
+    daemon.waitUntilStopped();
+}
+
+/** One shard of a single-shard spec that simulates for a few hundred
+    ms (longer under sanitizers), so several heartbeat intervals pass. */
+std::string
+longShardRequest(const std::string& id, uint64_t heartbeatMs)
+{
+    return "{\"type\":\"shard\",\"id\":\"" + id +
+           "\",\"index\":0,\"heartbeat_ms\":" +
+           std::to_string(heartbeatMs) +
+           ",\"spec\":{\"configs\":[\"power10\"],\"workloads\":"
+           "[\"perlbench\"],\"smt\":[1],\"seeds\":1,"
+           "\"instrs\":3000000,\"warmup\":1000}}";
+}
+
+/** Heartbeats for @p id read up to (and including) its shard_done. */
+int
+heartbeatsUntilShardDone(Client& client, const std::string& id)
+{
+    int heartbeats = 0;
+    for (;;) {
+        const std::string line = client.readLine();
+        EXPECT_FALSE(line.empty()) << "connection ended before shard_done";
+        if (line.empty())
+            return heartbeats;
+        const std::string ev = field(line, "event");
+        EXPECT_NE(ev, "error") << line;
+        EXPECT_EQ(field(line, "id"), id) << line;
+        if (ev == "heartbeat")
+            ++heartbeats;
+        if (ev == "shard_done" || ev == "error")
+            return heartbeats;
+    }
+}
+
+TEST(Daemon, HeartbeatPumpRunsUntilShardDoneThenStops)
+{
+    service::Daemon daemon(service::DaemonOptions{});
+    ASSERT_TRUE(daemon.start().ok());
+    Client client(daemon.port());
+
+    client.sendLine(longShardRequest("hb", 20));
+    EXPECT_GE(heartbeatsUntilShardDone(client, "hb"), 3);
+
+    // Nothing for the shard may follow its shard_done: everything up to
+    // the reply of a later request on the same connection is that reply.
+    client.sendLine("{\"type\":\"stats\",\"id\":\"st\"}");
+    const std::string stats = client.readLine();
+    EXPECT_EQ(field(stats, "event"), "stats") << stats;
+    EXPECT_EQ(field(stats, "id"), "st");
+
+    // heartbeat_ms 0 turns the pump off.
+    client.sendLine(longShardRequest("quiet", 0));
+    EXPECT_EQ(heartbeatsUntilShardDone(client, "quiet"), 0);
 
     daemon.waitUntilStopped();
 }
