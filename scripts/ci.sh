@@ -593,17 +593,22 @@ build-asan-ubsan/tests/test_chip \
     --gtest_filter='ChipCkptHostile.*' >/dev/null
 
 # TSan flavour: only the parallel paths (thread pool, sweep runner,
-# parallel fault campaign) need race coverage, so build just those
-# targets instead of the whole tree. gtest_discover_tests does not
-# cooperate with partial builds, so the test binary runs directly.
+# parallel fault campaign, the shared-object caches) need race
+# coverage, so build just those targets instead of the whole tree.
+# gtest_discover_tests does not cooperate with partial builds, so the
+# test binary runs directly.
 echo "=== tsan: configure + build parallel targets ==="
 export TSAN_OPTIONS="halt_on_error=1"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DP10EE_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" \
-    --target test_sweep test_service test_fabric test_obs test_chip \
-    bench_fault_campaign p10sweep_cli p10d p10fleet \
-    p10trace_cli p10sim_cli
+    --target test_common test_workloads test_sweep test_service \
+    test_fabric test_obs test_chip bench_fault_campaign p10sweep_cli \
+    p10d p10fleet p10trace_cli p10sim_cli
+echo "=== tsan: test_common (shared-object cache) ==="
+build-tsan/tests/test_common
+echo "=== tsan: test_workloads (walkers sharing one program) ==="
+build-tsan/tests/test_workloads
 echo "=== tsan: test_sweep ==="
 build-tsan/tests/test_sweep
 echo "=== tsan: test_service (daemon thread model) ==="

@@ -1,9 +1,9 @@
 #include "trace/replay.h"
 
-#include <map>
 #include <mutex>
 
 #include "common/assert.h"
+#include "common/shared_cache.h"
 #include "isa/op.h"
 
 namespace p10ee::trace {
@@ -123,22 +123,12 @@ recordTrace(workloads::InstrSource& source, uint64_t n, TraceMeta meta,
 Expected<std::shared_ptr<const TraceData>>
 loadShared(const std::string& path)
 {
-    // Process-wide container cache: a sweep replays one trace across
-    // many shards x SMT threads; each should share one loaded,
-    // verified container instead of re-reading and re-verifying the
-    // file. Entries are weak so an idle daemon does not pin every
-    // trace it ever served.
-    static std::mutex mu;
-    static std::map<std::string, std::weak_ptr<const TraceData>> cache;
-
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        auto it = cache.find(path);
-        if (it != cache.end())
-            if (std::shared_ptr<const TraceData> hit =
-                    it->second.lock())
-                return hit;
-    }
+    // A sweep replays one trace across many shards x SMT threads; each
+    // shares one loaded, verified container instead of re-reading and
+    // re-verifying the file.
+    static common::SharedCache<std::string, TraceData> cache;
+    if (std::shared_ptr<const TraceData> hit = cache.find(path))
+        return hit;
 
     Expected<TraceData> loaded = TraceData::load(path);
     if (!loaded)
@@ -150,12 +140,8 @@ loadShared(const std::string& path)
     if (Status st = loaded.value().verifyContent(); !st)
         return Error(st.error().code,
                      path + ": " + st.error().message);
-    auto shared = std::make_shared<const TraceData>(
-        std::move(loaded.value()));
-
-    std::lock_guard<std::mutex> lk(mu);
-    cache[path] = shared;
-    return std::shared_ptr<const TraceData>(shared);
+    return cache.publish(path, std::make_shared<const TraceData>(
+                                   std::move(loaded.value())));
 }
 
 Expected<workloads::WorkloadProfile>

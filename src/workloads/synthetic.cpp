@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "common/hash.h"
+#include "common/shared_cache.h"
 
 namespace p10ee::workloads {
 
@@ -24,28 +25,18 @@ constexpr int kNumRotGpr = 26;
 constexpr uint16_t kRotVsr = reg::kVsrBase + 4;
 constexpr int kNumRotVsr = 48;
 
-} // namespace
+// Every program's text starts here; SMT copies share it.
+constexpr uint64_t kCodeBase = 0x1000000ull;
 
-uint64_t
-profileHash(const WorkloadProfile& p)
+/**
+ * Identity bytes of a synthetic profile: every statistical field, in
+ * declaration order. profileHash() hashes them and the program cache
+ * keys on them; a field missing here would let two different workloads
+ * alias one cache entry, checkpoint or program.
+ */
+std::vector<uint8_t>
+syntheticIdentity(const WorkloadProfile& p)
 {
-    if (!p.frontend.empty()) {
-        // Frontend-bound profiles are content-addressed: the scheme,
-        // the external artifact's content hash and the seed. The path
-        // and display metadata deliberately stay out so moving or
-        // re-describing a trace keeps cache keys stable, while one
-        // mutated instruction (a different content hash) invalidates.
-        common::BinWriter w;
-        w.str(p.frontend);
-        w.u64(p.contentHash);
-        w.u64(p.seed);
-        common::Fnv1a h;
-        h.bytes(w.bytes().data(), w.size());
-        return h.digest();
-    }
-    // Every statistical field, in declaration order: a field missing
-    // here would let two different workloads alias one cache entry or
-    // checkpoint.
     common::BinWriter w;
     w.str(p.name);
     w.f64(p.loadFrac);
@@ -70,8 +61,31 @@ profileHash(const WorkloadProfile& p)
     w.u64(static_cast<uint64_t>(p.numBlocks));
     w.u64(static_cast<uint64_t>(p.avgBlockLen));
     w.u64(p.seed);
+    return w.takeBytes();
+}
+
+} // namespace
+
+uint64_t
+profileHash(const WorkloadProfile& p)
+{
+    if (!p.frontend.empty()) {
+        // Frontend-bound profiles are content-addressed: the scheme,
+        // the external artifact's content hash and the seed. The path
+        // and display metadata deliberately stay out so moving or
+        // re-describing a trace keeps cache keys stable, while one
+        // mutated instruction (a different content hash) invalidates.
+        common::BinWriter w;
+        w.str(p.frontend);
+        w.u64(p.contentHash);
+        w.u64(p.seed);
+        common::Fnv1a h;
+        h.bytes(w.bytes().data(), w.size());
+        return h.digest();
+    }
+    const std::vector<uint8_t> id = syntheticIdentity(p);
     common::Fnv1a h;
-    h.bytes(w.bytes().data(), w.size());
+    h.bytes(id.data(), id.size());
     return h.digest();
 }
 
@@ -90,28 +104,9 @@ ReplaySource::next()
     return in;
 }
 
-SyntheticWorkload::SyntheticWorkload(const WorkloadProfile& profile,
-                                     int threadId)
-    : profile_(profile),
-      rng_(profile.seed * 0x9e3779b9u + 0x1234567u),
-      // The per-thread shift is 1GB plus an odd multiple of the page
-      // size: power-of-two-only offsets would land every thread's
-      // regions on the same cache/TLB sets.
-      dataBase_(0x10000000ull +
-                static_cast<uint64_t>(threadId) * 0x40000000ull +
-                static_cast<uint64_t>(threadId) * 0x910000ull),
-      codeBase_(0x1000000ull)
+SyntheticProgram::SyntheticProgram(const WorkloadProfile& p)
+    : rng_(p.seed * 0x9e3779b9u + 0x1234567u)
 {
-    // SMT copies of a rate-style workload share the program text (the
-    // same binary) but have private data footprints, so only the data
-    // base shifts per thread.
-    buildStaticCode();
-}
-
-void
-SyntheticWorkload::buildStaticCode()
-{
-    const WorkloadProfile& p = profile_;
     P10_ASSERT(p.numBlocks >= 2, "need at least two blocks");
 
     // Normalize the non-branch mix: each block carries exactly one
@@ -130,16 +125,19 @@ SyntheticWorkload::buildStaticCode()
     double tierSum = tierW[0] + tierW[1] + tierW[2] + tierW[3];
     P10_ASSERT(tierSum > 0, "no memory tier weights");
 
-    blocks_.resize(static_cast<size_t>(p.numBlocks));
+    // Mean block length is 1/branchFrac (one branch per block);
+    // +/-50% jitter keeps fetch groups irregular.
+    const double ideal = 1.0 / p.branchFrac;
+    // Block lengths average 1.05 x ideal; the margin spares the flat
+    // template array a regrowth on all but the smallest programs.
+    blocks_.reserve(static_cast<size_t>(p.numBlocks));
+    templates_.reserve(static_cast<size_t>(p.numBlocks) *
+                       static_cast<size_t>(std::lround(ideal * 1.1)));
     int rotGpr = 0;
     int rotVsr = 0;
-    uint64_t pcCursor = codeBase_;
+    uint64_t pcCursor = kCodeBase;
     for (int b = 0; b < p.numBlocks; ++b) {
-        Block& blk = blocks_[static_cast<size_t>(b)];
-        blk.pcBase = pcCursor;
-        // Mean block length is 1/branchFrac (one branch per block);
-        // +/-50% jitter keeps fetch groups irregular.
-        double ideal = 1.0 / p.branchFrac;
+        Block blk{pcCursor, static_cast<uint32_t>(templates_.size()), 0};
         int len = std::max(
             2, static_cast<int>(
                    std::lround(ideal * (0.55 + rng_.uniform()))));
@@ -189,7 +187,8 @@ SyntheticWorkload::buildStaticCode()
                     int back = 1 + static_cast<int>(rng_.below(
                                        std::min(i, 3)));
                     const Template& prod =
-                        blk.instrs[static_cast<size_t>(i - back)];
+                        templates_[blk.first +
+                                   static_cast<size_t>(i - back)];
                     t.src[s] = prod.dest != reg::kNone
                         ? prod.dest
                         : static_cast<uint16_t>(
@@ -220,21 +219,21 @@ SyntheticWorkload::buildStaticCode()
                           t.accessSize * (1 + rng_.below(4)))
                     : 0;
             }
-            blk.instrs.push_back(t);
+            templates_.push_back(t);
         }
 
-        // Assign byte offsets (prefixed instructions are 8 bytes).
-        {
-            uint32_t off = 0;
-            for (auto& tt : blk.instrs) {
-                tt.pcOff = off;
-                off += tt.prefixed ? 8 : 4;
-            }
+        // Assign byte offsets (prefixed instructions are 8 bytes); the
+        // branch follows the last body instruction.
+        uint32_t off = 0;
+        for (size_t q = blk.first; q < templates_.size(); ++q) {
+            templates_[q].pcOff = off;
+            off += templates_[q].prefixed ? 8 : 4;
         }
 
         // Terminating branch.
         Template br{};
         br.isBranch = true;
+        br.pcOff = off;
         br.indirect = rng_.chance(p.indirectFrac);
         br.op = br.indirect ? OpClass::BranchIndirect : OpClass::Branch;
         br.dest = reg::kNone;
@@ -242,9 +241,9 @@ SyntheticWorkload::buildStaticCode()
         // so mispredicted branches resolve late when that producer is a
         // long-latency op (the realistic flush-cost structure).
         br.src[0] = static_cast<uint16_t>(reg::kCrBase + rng_.below(8));
-        for (size_t q = blk.instrs.size(); q-- > 0;) {
-            if (blk.instrs[q].dest != reg::kNone) {
-                br.src[0] = blk.instrs[q].dest;
+        for (size_t q = templates_.size(); q-- > blk.first;) {
+            if (templates_[q].dest != reg::kNone) {
+                br.src[0] = templates_[q].dest;
                 break;
             }
         }
@@ -252,12 +251,15 @@ SyntheticWorkload::buildStaticCode()
         if (br.indirect) {
             // Call-like dispatch: targets anywhere in the code.
             int nt = std::max(2, p.indirectTargets);
+            br.targetsFirst =
+                static_cast<uint32_t>(indirectTargets_.size());
+            br.targetsCount = static_cast<uint32_t>(nt);
             for (int q = 0; q < nt; ++q)
-                br.indirectTargetBlocks.push_back(
-                    static_cast<int>(rng_.below(p.numBlocks)));
+                indirectTargets_.push_back(
+                    static_cast<int32_t>(rng_.below(p.numBlocks)));
         }
-        br.biased = rng_.chance(p.biasedBranchFrac);
-        if (br.biased && rng_.chance(0.08)) {
+        const bool biased = rng_.chance(p.biasedBranchFrac);
+        if (biased && rng_.chance(0.08)) {
             // Loop: a short backward target, taken period-1 times, then
             // one fall-through exit. Control flow keeps sweeping the
             // code after each loop finishes.
@@ -270,7 +272,7 @@ SyntheticWorkload::buildStaticCode()
             // makes the dynamic mix track the static mix.
             br.takenTarget =
                 (b + 1 + static_cast<int>(rng_.below(12))) % p.numBlocks;
-            if (br.biased) {
+            if (biased) {
                 // Strongly predictable: almost-always-taken with
                 // probability takenBias, almost-never otherwise.
                 br.bias = rng_.chance(p.takenBias) ? 0.995 : 0.005;
@@ -278,18 +280,43 @@ SyntheticWorkload::buildStaticCode()
                 br.bias = 0.15 + rng_.uniform() * 0.7;
             }
         }
-        {
-            uint32_t off = blk.instrs.empty()
-                ? 0
-                : blk.instrs.back().pcOff +
-                      (blk.instrs.back().prefixed ? 8 : 4);
-            br.pcOff = off;
-        }
-        blk.instrs.push_back(br);
-        branchCount_.push_back(0);
+        templates_.push_back(br);
+        blk.count = static_cast<uint32_t>(templates_.size() - blk.first);
+        blocks_.push_back(blk);
 
-        pcCursor += blk.instrs.back().pcOff + 4;
+        pcCursor += br.pcOff + 4;
     }
+}
+
+std::shared_ptr<const SyntheticProgram>
+SyntheticProgram::shared(const WorkloadProfile& profile)
+{
+    static common::SharedCache<std::vector<uint8_t>, SyntheticProgram>
+        cache;
+    return cache.getOrBuild(syntheticIdentity(profile), [&profile] {
+        return std::make_shared<const SyntheticProgram>(profile);
+    });
+}
+
+SyntheticWorkload::SyntheticWorkload(const WorkloadProfile& profile,
+                                     int threadId)
+    : profile_(profile),
+      // SMT copies of a rate-style workload share the program text (the
+      // same binary) but have private data footprints, so only the data
+      // base shifts per thread.
+      program_(SyntheticProgram::shared(profile)),
+      blocks_(program_->blocks().data()),
+      templates_(program_->templates().data()),
+      targets_(program_->indirectTargets().data()),
+      rng_(program_->rngAfterBuild()),
+      // The per-thread shift is 1GB plus an odd multiple of the page
+      // size: power-of-two-only offsets would land every thread's
+      // regions on the same cache/TLB sets.
+      dataBase_(0x10000000ull +
+                static_cast<uint64_t>(threadId) * 0x40000000ull +
+                static_cast<uint64_t>(threadId) * 0x910000ull),
+      branchCount_(program_->blocks().size(), 0)
+{
 }
 
 isa::TraceInstr
@@ -299,12 +326,7 @@ SyntheticWorkload::instantiate(const Template& tmpl, uint64_t pc)
     in.op = tmpl.op;
     in.dest = tmpl.dest;
     for (int s = 0; s < 3; ++s)
-        in.src[s] = tmpl.src[s] ? tmpl.src[s] : reg::kNone;
-    // Templates zero-initialize src entries; 0 is r0 which we never
-    // allocate, so treat 0 as "unused".
-    for (int s = 0; s < 3; ++s)
-        if (tmpl.src[s] == 0)
-            in.src[s] = reg::kNone;
+        in.src[s] = tmpl.src[s];
     in.pc = pc;
     in.prefixed = tmpl.prefixed;
 
@@ -343,7 +365,7 @@ SyntheticWorkload::instantiate(const Template& tmpl, uint64_t pc)
             // Dominant-target behaviour with a cyclic minority: the
             // cycle is learnable by a target-history predictor
             // (POWER10) but not by a last-target cache (POWER9).
-            size_t n = tmpl.indirectTargetBlocks.size();
+            size_t n = tmpl.targetsCount;
             size_t pick;
             uint32_t slot = count % 16;
             uint32_t domSlots = static_cast<uint32_t>(
@@ -358,8 +380,8 @@ SyntheticWorkload::instantiate(const Template& tmpl, uint64_t pc)
                 pick = 1 + static_cast<size_t>(count / 16 + slot) %
                            (n - 1);
             }
-            int tgt = tmpl.indirectTargetBlocks[pick];
-            in.target = blocks_[static_cast<size_t>(tgt)].pcBase;
+            int tgt = targets_[tmpl.targetsFirst + pick];
+            in.target = blocks_[tgt].pcBase;
             curBlock_ = tgt;
         } else {
             bool taken;
@@ -371,8 +393,7 @@ SyntheticWorkload::instantiate(const Template& tmpl, uint64_t pc)
             }
             in.taken = taken;
             int tgt = taken ? tmpl.takenTarget : tmpl.fallthrough;
-            in.target =
-                blocks_[static_cast<size_t>(tmpl.takenTarget)].pcBase;
+            in.target = blocks_[tmpl.takenTarget].pcBase;
             curBlock_ = tgt;
         }
         ++count;
@@ -384,9 +405,9 @@ SyntheticWorkload::instantiate(const Template& tmpl, uint64_t pc)
 isa::TraceInstr
 SyntheticWorkload::next()
 {
-    const Block& blk = blocks_[static_cast<size_t>(curBlock_)];
-    P10_ASSERT(curInstr_ < blk.instrs.size(), "walker out of block");
-    const Template& tmpl = blk.instrs[curInstr_];
+    const SyntheticProgram::Block& blk = blocks_[curBlock_];
+    P10_ASSERT(curInstr_ < blk.count, "walker out of block");
+    const Template& tmpl = templates_[blk.first + curInstr_];
     uint64_t pc = blk.pcBase + tmpl.pcOff;
 
     int blockBefore = curBlock_;
@@ -430,17 +451,20 @@ SyntheticWorkload::loadState(common::BinReader& r)
     for (auto& c : cursor)
         c = r.u64();
     uint64_t nBranch = r.u64();
-    if (r.failed() || curBlock >= blocks_.size() ||
-        curInstr >= blocks_[curBlock].instrs.size() ||
+    const std::vector<SyntheticProgram::Block>& blocks = program_->blocks();
+    if (r.failed() || curBlock >= blocks.size() ||
+        curInstr >= blocks[curBlock].count ||
         nBranch != branchCount_.size())
         return common::Error::invalidArgument(
             "workload walker state out of range");
-    for (auto& c : branchCount_)
+    std::vector<uint32_t> branchCount(branchCount_.size());
+    for (auto& c : branchCount)
         c = r.u32();
     uint64_t dynInstrs = r.u64();
     if (r.failed())
         return r.status("workload state");
     rng_ = rng;
+    branchCount_ = std::move(branchCount);
     curBlock_ = static_cast<int>(curBlock);
     curInstr_ = curInstr;
     for (int i = 0; i < 4; ++i)

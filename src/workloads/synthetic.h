@@ -16,6 +16,7 @@
 #define P10EE_WORKLOADS_SYNTHETIC_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,18 +125,91 @@ struct WorkloadProfile
 uint64_t profileHash(const WorkloadProfile& p);
 
 /**
+ * Immutable static code of one synthetic profile: basic blocks,
+ * instruction templates and indirect-branch targets in flat arrays,
+ * plus the RNG state the build left behind, which seeds every walker.
+ *
+ * SMT copies of a rate-style workload run the same binary, so every
+ * walker of a profile shares one program read-only (shared()); only
+ * the walkers' dynamic state is per thread.
+ */
+class SyntheticProgram
+{
+  public:
+    /** One static instruction template. */
+    struct Template
+    {
+        double bias = 0.5;          ///< taken probability (conditional)
+        uint32_t pcOff = 0;         ///< byte offset within the block
+        uint32_t stride = 0;        ///< bytes per access when strided
+        uint32_t patternPeriod = 0; ///< >0: deterministic period pattern
+        int32_t takenTarget = 0;    ///< block index when taken
+        int32_t fallthrough = 0;    ///< block index when not taken
+        uint32_t targetsFirst = 0;  ///< first entry in indirectTargets()
+        uint32_t targetsCount = 0;  ///< entries, 0 unless indirect
+        uint16_t dest = 0;
+        uint16_t src[3] = {isa::reg::kNone, isa::reg::kNone,
+                           isa::reg::kNone};
+        uint16_t accessSize = 8;
+        isa::OpClass op = isa::OpClass::IntAlu;
+        int8_t regionTier = -1; ///< -1: not a memory op
+        bool prefixed = false;  ///< 8-byte prefixed encoding
+        bool strided = false;
+        bool isBranch = false;
+        bool indirect = false;
+    };
+
+    /** A basic block: templates [first, first + count), branch last. */
+    struct Block
+    {
+        uint64_t pcBase;
+        uint32_t first;
+        uint32_t count;
+    };
+
+    /** Synthesize the static code @p profile describes. */
+    explicit SyntheticProgram(const WorkloadProfile& profile);
+
+    /**
+     * The program of @p profile from the process-wide cache, built on a
+     * miss. The key is the exact bytes profileHash() hashes for a
+     * synthetic profile, not the hash, so a collision cannot hand one
+     * profile's code to another. Entries are weak: a program lives as
+     * long as some walker holds it.
+     */
+    static std::shared_ptr<const SyntheticProgram>
+    shared(const WorkloadProfile& profile);
+
+    const std::vector<Block>& blocks() const { return blocks_; }
+    const std::vector<Template>& templates() const { return templates_; }
+    const std::vector<int32_t>& indirectTargets() const
+    {
+        return indirectTargets_;
+    }
+
+    /** RNG state after the build: where every walker's stream starts. */
+    const common::Xoshiro& rngAfterBuild() const { return rng_; }
+
+  private:
+    common::Xoshiro rng_;
+    std::vector<Block> blocks_;
+    std::vector<Template> templates_;
+    std::vector<int32_t> indirectTargets_;
+};
+
+/**
  * CFG-walking instruction generator for one profile.
  *
- * Construction synthesizes the static code (blocks, templates, branch
- * personalities); next() walks it. Two generators with the same profile
- * and seed produce identical streams.
+ * Construction fetches the profile's shared static code (blocks,
+ * templates, branch personalities); next() walks it. Two generators
+ * with the same profile and seed produce identical streams.
  */
 class SyntheticWorkload : public CheckpointableSource
 {
   public:
     /**
      * @param profile statistical description to realize.
-     * @param threadId shifts data/code base addresses so SMT threads
+     * @param threadId shifts the data base address so SMT threads
      *        running the same profile touch distinct footprints.
      */
     explicit SyntheticWorkload(const WorkloadProfile& profile,
@@ -148,16 +222,23 @@ class SyntheticWorkload : public CheckpointableSource
     /** The profile this stream realizes. */
     const WorkloadProfile& profile() const { return profile_; }
 
+    /** The shared static code this walker steps through. */
+    const SyntheticProgram& program() const { return *program_; }
+
     /** Static basic-block count (for Chopstix coverage accounting). */
-    int numBlocks() const { return static_cast<int>(blocks_.size()); }
+    int
+    numBlocks() const
+    {
+        return static_cast<int>(program_->blocks().size());
+    }
 
     /** Index of the block the walker is currently in. */
     int currentBlock() const { return curBlock_; }
 
     // ---- Checkpoint surface (src/ckpt) ----
-    // The static code is rebuilt deterministically from (profile,
-    // threadId) at construction, so only the walker's dynamic state is
-    // serialized: RNG, block cursor, region cursors, branch counters.
+    // The static code is a deterministic function of the profile, so
+    // only the walker's dynamic state is serialized: RNG, block cursor,
+    // region cursors, branch counters.
 
     /** Serialize the dynamic walker state. */
     void saveState(common::BinWriter& w) const override;
@@ -165,51 +246,26 @@ class SyntheticWorkload : public CheckpointableSource
     /**
      * Restore state saved by saveState() into a generator constructed
      * from the same profile and threadId; cursor and counter ranges
-     * are validated against the rebuilt static code.
+     * are validated against the static code.
      */
     common::Status loadState(common::BinReader& r) override;
 
   private:
-    /** One static instruction template. */
-    struct Template
-    {
-        isa::OpClass op;
-        uint16_t dest;
-        uint16_t src[3];
-        bool prefixed = false; ///< 8-byte prefixed encoding
-        uint32_t pcOff = 0;    ///< byte offset within the block
-        // Memory personality.
-        int regionTier = -1; ///< -1: not a memory op
-        bool strided = false;
-        uint16_t accessSize = 8;
-        uint32_t stride = 64;
-        // Branch personality.
-        bool isBranch = false;
-        bool biased = false;
-        double bias = 0.5;
-        uint32_t patternPeriod = 0; ///< >0: deterministic period pattern
-        bool indirect = false;
-        int takenTarget = 0;  ///< block index when taken
-        int fallthrough = 0;  ///< block index when not taken
-        std::vector<int> indirectTargetBlocks;
-    };
+    using Template = SyntheticProgram::Template;
 
-    struct Block
-    {
-        uint64_t pcBase;
-        std::vector<Template> instrs;
-    };
-
-    void buildStaticCode();
     isa::TraceInstr instantiate(const Template& tmpl, uint64_t pc);
 
     WorkloadProfile profile_;
+    std::shared_ptr<const SyntheticProgram> program_;
+    // The program's arrays, cached for next(): they never move while
+    // program_ holds the program.
+    const SyntheticProgram::Block* blocks_;
+    const Template* templates_;
+    const int32_t* targets_;
     RegionSizes regions_;
     common::Xoshiro rng_;
     uint64_t dataBase_;
-    uint64_t codeBase_;
 
-    std::vector<Block> blocks_;
     int curBlock_ = 0;
     size_t curInstr_ = 0;
 

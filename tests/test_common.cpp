@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, stats, histograms, matrix
- * algebra, table formatting.
+ * algebra, table formatting, the weak shared-object cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/shared_cache.h"
 #include "common/stats.h"
 #include "common/table.h"
 
@@ -307,4 +313,85 @@ TEST(TableFormat, Helpers)
     EXPECT_EQ(fmt(3.14159, 2), "3.14");
     EXPECT_EQ(fmtX(2.6), "2.60x");
     EXPECT_EQ(fmtPct(0.322), "32.2%");
+}
+
+TEST(SharedCache, OneObjectPerKeyWhileHeld)
+{
+    SharedCache<std::string, int> cache;
+    int builds = 0;
+    auto build = [&builds] {
+        ++builds;
+        return std::make_shared<const int>(7);
+    };
+    std::shared_ptr<const int> a = cache.getOrBuild("k", build);
+    std::shared_ptr<const int> b = cache.getOrBuild("k", build);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(cache.find("k"), a);
+    EXPECT_EQ(cache.find("other"), nullptr);
+}
+
+TEST(SharedCache, RebuiltAfterLastHolderDrops)
+{
+    SharedCache<std::string, int> cache;
+    int builds = 0;
+    auto build = [&builds] {
+        ++builds;
+        return std::make_shared<const int>(builds);
+    };
+    std::shared_ptr<const int> a = cache.getOrBuild("k", build);
+    std::shared_ptr<const int> held = a;
+    a.reset();
+    EXPECT_EQ(*cache.getOrBuild("k", build), 1); // still held
+    held.reset();
+    EXPECT_EQ(cache.find("k"), nullptr);
+    EXPECT_EQ(*cache.getOrBuild("k", build), 2);
+    EXPECT_EQ(builds, 2);
+}
+
+TEST(SharedCache, ExpiredKeysArePruned)
+{
+    SharedCache<int, int> cache;
+    std::shared_ptr<const int> pinned =
+        cache.getOrBuild(-1, [] { return std::make_shared<const int>(0); });
+    for (int k = 0; k < 1000; ++k) {
+        std::shared_ptr<const int> v = cache.getOrBuild(
+            k, [k] { return std::make_shared<const int>(k); });
+        ASSERT_EQ(*v, k);
+        // The held key, this key, and at most the previous (expired,
+        // not yet pruned) one.
+        ASSERT_LE(cache.size(), 3u);
+    }
+    EXPECT_EQ(cache.find(-1), pinned);
+}
+
+TEST(SharedCache, ConcurrentCallersShareOneObject)
+{
+    SharedCache<std::string, std::vector<int>> cache;
+    constexpr int kThreads = 8;
+    std::atomic<int> ready{0};
+    std::atomic<int> builds{0};
+    std::shared_ptr<const std::vector<int>> got[kThreads];
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            got[t] = cache.getOrBuild("k", [&builds] {
+                builds.fetch_add(1);
+                return std::make_shared<const std::vector<int>>(
+                    std::vector<int>{1, 2, 3});
+            });
+        });
+    for (auto& th : pool)
+        th.join();
+    EXPECT_GE(builds.load(), 1);
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_NE(got[t], nullptr);
+        EXPECT_EQ(*got[t], (std::vector<int>{1, 2, 3}));
+        // Every caller still holds its result, so the first publisher
+        // won and all share one object.
+        EXPECT_EQ(got[t], got[0]);
+    }
 }

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <memory>
+#include <thread>
 
+#include "common/hash.h"
 #include "isa/op.h"
 #include "workloads/ai_trace.h"
 #include "workloads/chopstix.h"
@@ -55,6 +59,133 @@ TEST(Synthetic, ThreadsShareCodeButNotData)
     EXPECT_LT(pc1, 0x10000000ull);
     EXPECT_LT(addr0, 0x50000000ull);
     EXPECT_GT(addr1, 0x40000000ull);
+}
+
+namespace {
+
+/** Absorb every field of @p in the core consumes. */
+void
+hashInstr(common::Fnv1a& h, const isa::TraceInstr& in)
+{
+    h.u64(in.pc).u64(static_cast<uint64_t>(in.op)).u64(in.dest);
+    for (uint16_t s : in.src)
+        h.u64(s);
+    h.u64(in.addr).u64(in.size).u64(in.taken).u64(in.target);
+    h.u64(in.memTier).u64(in.prefixed);
+}
+
+/** FNV-1a over the first @p n instructions of @p src. */
+uint64_t
+streamHash(InstrSource& src, int n)
+{
+    common::Fnv1a h;
+    for (int i = 0; i < n; ++i)
+        hashInstr(h, src.next());
+    return h.digest();
+}
+
+std::vector<WorkloadProfile>
+allProfiles()
+{
+    std::vector<WorkloadProfile> all = specint2017();
+    for (const auto& p : extraGroups())
+        all.push_back(p);
+    return all;
+}
+
+} // namespace
+
+TEST(Synthetic, StreamsPinnedForEveryProfile)
+{
+    // Every report, checkpoint and shard-cache entry over a synthetic
+    // workload follows from these streams: a change to the build's RNG
+    // draw order, the template layout or the walker moves a digest.
+    struct Pin
+    {
+        const char* name;
+        uint64_t t0, t3;
+    };
+    static constexpr Pin kPins[] = {
+        {"perlbench", 0x372917eaeee38677ull, 0xa79d6d28e4e9b2b5ull},
+        {"gcc", 0x0ee46071d01f3e9aull, 0x3a9580b1f36b9f78ull},
+        {"mcf", 0x4425d27684ba55a5ull, 0xbc3c908ab570c301ull},
+        {"omnetpp", 0x946db025925b8937ull, 0xf824f31576142fd7ull},
+        {"xalancbmk", 0xd71fb09fd012d994ull, 0x3f8d5b1141e7e7b4ull},
+        {"x264", 0x6f10df02b9113e20ull, 0xebfd634374973a9full},
+        {"deepsjeng", 0x9259d3d1cea198c0ull, 0x46f340b61e225b68ull},
+        {"leela", 0xbd22f2030466859aull, 0x0560b06aef288ffeull},
+        {"exchange2", 0xf139401ed87f98a9ull, 0x17562ac21859c3f7ull},
+        {"xz", 0x53300a83ff0dbfe2ull, 0x4fd205ce2112f6b0ull},
+        {"commercial", 0x148f6eef1b8bca6dull, 0x1ad167b4c6247ecaull},
+        {"python_interp", 0xab5a444e325d64cfull, 0x487203f181c14a94ull},
+        {"ml_analytics", 0x23187ac2d9fbe3daull, 0x879ac294cad27523ull},
+    };
+    const std::vector<WorkloadProfile> all = allProfiles();
+    ASSERT_EQ(all.size(), std::size(kPins));
+    for (size_t i = 0; i < all.size(); ++i) {
+        ASSERT_EQ(all[i].name, kPins[i].name);
+        SyntheticWorkload t0(all[i], 0), t3(all[i], 3);
+        EXPECT_EQ(streamHash(t0, 50000), kPins[i].t0) << kPins[i].name;
+        EXPECT_EQ(streamHash(t3, 50000), kPins[i].t3) << kPins[i].name;
+    }
+}
+
+TEST(Synthetic, SharedProgramLeaksNoWalkerState)
+{
+    // Four SMT copies of one profile share one program; stepping them
+    // round-robin must give each exactly the stream it gives alone.
+    const auto& prof = profileByName("commercial");
+    constexpr int kThreads = 4;
+    constexpr int kN = 20000;
+    uint64_t alone[kThreads];
+    for (int t = 0; t < kThreads; ++t) {
+        SyntheticWorkload w(prof, t);
+        alone[t] = streamHash(w, kN);
+    }
+
+    std::vector<std::unique_ptr<SyntheticWorkload>> walkers;
+    for (int t = 0; t < kThreads; ++t)
+        walkers.push_back(std::make_unique<SyntheticWorkload>(prof, t));
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(&walkers[static_cast<size_t>(t)]->program(),
+                  &walkers[0]->program());
+    common::Fnv1a h[kThreads];
+    for (int i = 0; i < kN; ++i)
+        for (int t = 0; t < kThreads; ++t)
+            hashInstr(h[t], walkers[static_cast<size_t>(t)]->next());
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(h[t].digest(), alone[t]) << "thread " << t;
+}
+
+TEST(Synthetic, ConcurrentWalkersShareOneProgram)
+{
+    // Walkers built and stepped on different host threads (a sweep
+    // pool) share the read-only program; each stream matches its
+    // single-threaded reference.
+    const auto& prof = profileByName("gcc");
+    constexpr int kThreads = 8;
+    constexpr int kN = 5000;
+    uint64_t expect[kThreads];
+    for (int t = 0; t < kThreads; ++t) {
+        SyntheticWorkload w(prof, t % 4);
+        expect[t] = streamHash(w, kN);
+    }
+    SyntheticWorkload pin(prof);
+    uint64_t got[kThreads] = {};
+    const SyntheticProgram* programs[kThreads] = {};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            SyntheticWorkload w(prof, t % 4);
+            programs[t] = &w.program();
+            got[t] = streamHash(w, kN);
+        });
+    for (auto& th : pool)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(got[t], expect[t]) << "thread " << t;
+        EXPECT_EQ(programs[t], &pin.program()) << "thread " << t;
+    }
 }
 
 class ProfileMix : public ::testing::TestWithParam<const char*>
@@ -116,8 +247,69 @@ INSTANTIATE_TEST_SUITE_P(Suite, ProfileMix,
                                            "omnetpp", "xalancbmk", "x264",
                                            "deepsjeng", "leela",
                                            "exchange2", "xz",
-                                           "python_interp",
+                                           "commercial", "python_interp",
                                            "ml_analytics"));
+
+namespace {
+
+/** Save @p w's walker state. */
+std::vector<uint8_t>
+walkerState(const SyntheticWorkload& w)
+{
+    common::BinWriter bw;
+    w.saveState(bw);
+    return bw.takeBytes();
+}
+
+} // namespace
+
+TEST(SyntheticCkpt, RestoreIntoOtherProfileIsAnError)
+{
+    SyntheticWorkload gcc(profileByName("gcc"));
+    for (int i = 0; i < 10000; ++i)
+        gcc.next();
+    const std::vector<uint8_t> state = walkerState(gcc);
+
+    SyntheticWorkload mcf(profileByName("mcf")), ref(profileByName("mcf"));
+    common::BinReader r(state);
+    common::Status st = mcf.loadState(r);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, common::ErrorCode::InvalidArgument);
+    // A refused restore leaves the walker untouched.
+    EXPECT_EQ(streamHash(mcf, 5000), streamHash(ref, 5000));
+}
+
+TEST(SyntheticCkpt, CursorAtBlockEndIsAnError)
+{
+    // Count the instructions of block 0: the walker starts there and
+    // leaves on its terminating branch.
+    const auto& prof = profileByName("gcc");
+    SyntheticWorkload probe(prof);
+    uint64_t len = 1;
+    while (!isa::isBranch(probe.next().op))
+        ++len;
+
+    // State layout: RNG (seed + 4 words), u32 block, u64 instruction.
+    std::vector<uint8_t> state = walkerState(SyntheticWorkload(prof));
+    auto setInstr = [&state](uint64_t v) {
+        constexpr size_t kInstrOff = 5 * 8 + 4;
+        for (size_t b = 0; b < 8; ++b)
+            state[kInstrOff + b] = static_cast<uint8_t>(v >> (8 * b));
+    };
+    setInstr(len);
+
+    SyntheticWorkload w(prof);
+    common::BinReader r(state);
+    common::Status st = w.loadState(r);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, common::ErrorCode::InvalidArgument);
+
+    // One less is the block's branch, which is in range.
+    setInstr(len - 1);
+    common::BinReader ok(state);
+    EXPECT_TRUE(w.loadState(ok).ok());
+    EXPECT_TRUE(isa::isBranch(w.next().op));
+}
 
 TEST(SpecProfiles, TenBenchmarks)
 {
