@@ -6,6 +6,15 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The golden tests rewrite tests/golden when P10EE_REGEN_GOLDEN is set
+# (even to an empty value) and then pass against their own output, so
+# a run with it set could not fail on a golden.
+if [ -n "${P10EE_REGEN_GOLDEN+set}" ]; then
+    echo "ci.sh: unset P10EE_REGEN_GOLDEN; goldens are regenerated" \
+        "by hand, never by CI" >&2
+    exit 1
+fi
+
 run_flavour() {
     local name="$1"
     local tier="$2"
@@ -453,6 +462,12 @@ EOF
 
 run_flavour release full -DCMAKE_BUILD_TYPE=Release
 
+# No test of the full run may have rewritten a committed golden.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "=== release: tests/golden unchanged ==="
+    git diff --exit-code -- tests/golden
+fi
+
 # Bench smoke: every bench binary must run on a tiny budget and emit a
 # schema-valid machine-readable report; the CLI must emit a loadable
 # Perfetto trace. Validation failures fail CI — schema drift breaks
@@ -584,7 +599,10 @@ mode_smoke build-asan-ubsan asan-ubsan
 # cannot silently drop them from sanitizer coverage.
 echo "=== asan-ubsan: hostile-input fuzz suites ==="
 build-asan-ubsan/tests/test_ckpt \
-    --gtest_filter='*Fuzz*:*Corrupt*:*Truncat*' >/dev/null
+    --gtest_filter='*Fuzz*:*Corrupt*:*Truncat*:CkptHostile.ForgedCycleBeyondRangeRejected' \
+    >/dev/null
+build-asan-ubsan/tests/test_core_structures \
+    --gtest_filter='Rings.*' >/dev/null
 build-asan-ubsan/tests/test_sweep_cache \
     --gtest_filter='*Fuzz*:*Corrupt*:*Stale*' >/dev/null
 build-asan-ubsan/tests/test_trace \

@@ -988,6 +988,16 @@ CoreModel::loadThread(common::BinReader& r, ThreadState& ts)
         return st;
     ts.prevIssue = r.u64();
     ts.prevComplete = r.u64();
+    // Every restored cycle feeds later ring claims: keep a forged
+    // checkpoint a structured error, never an abort in claimAt.
+    auto inRange = [](uint64_t c) { return c < kRestoredCycleLimit; };
+    if (!inRange(ts.nextFetch) || !inRange(ts.lastDecode) ||
+        !inRange(ts.lastCommit) || !inRange(ts.prevIssue) ||
+        !inRange(ts.prevComplete) ||
+        !std::all_of(ts.regReady.begin(), ts.regReady.end(), inRange) ||
+        !std::all_of(ts.accChain.begin(), ts.accChain.end(), inRange))
+        return common::Error::invalidArgument(
+            "thread state cycle beyond the cycle range");
     return r.status("thread state");
 }
 

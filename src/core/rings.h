@@ -16,29 +16,51 @@
 namespace p10ee::core {
 
 /**
+ * Largest cycle (exclusive) a restored checkpoint may carry: half the
+ * throttle rings' 2^40 range, so a restored run has 2^39 cycles of
+ * headroom before any claim could reach the rings' limit. Every
+ * loadState of a cycle-valued field rejects values at or above it.
+ */
+inline constexpr uint64_t kRestoredCycleLimit = 1ull << 39;
+
+/**
  * A per-cycle capacity ring: at most @p width events may claim any one
- * cycle. Cycles are stamped lazily, so the ring supports sparse,
- * mostly-monotonic claim patterns over an unbounded cycle range as long
- * as concurrently active cycles span less than the ring size (the
- * in-flight window of the core, bounded by queue sizes and memory
- * latency, is far below the default 64K cycles).
+ * cycle. The ring has 64K slots of one 32-bit word each. Slot
+ * `cycle & 0xFFFF` holds the stamp bits the index does not give
+ * (`cycle >> 16`) in its high 24 bits and the number of claims at that
+ * cycle in its low 8. A count of 0 means the slot is empty, so a new
+ * ring is plain zeros, and a probe is one 32-bit load: it matches the
+ * slot's stamp against the probed cycle, so cycles 64K apart share a
+ * slot without interfering. The ring thus supports sparse,
+ * mostly-monotonic claim patterns as long as concurrently active
+ * cycles span less than 64K (the in-flight window of the core, bounded
+ * by queue sizes and memory latency, is far below that).
+ *
+ * Limits: cycles below 2^40 (kCycleLimit, asserted by claimAt) and
+ * widths up to 255 (kMaxWidth). CoreConfig::validate bounds every
+ * width, and restores reject out-of-range cycles before they get here.
  */
 class ThrottleRing
 {
   public:
-    explicit ThrottleRing(int width, uint32_t log2Size = 16)
-        : width_(width), mask_((1u << log2Size) - 1),
-          stamp_(1ull << log2Size, ~0ull), count_(1ull << log2Size, 0)
+    /** Cycles the ring can stamp: 16 index bits + 24 stamp bits. */
+    static constexpr uint64_t kCycleLimit = 1ull << 40;
+    /** Largest width the 8-bit count can hold. */
+    static constexpr int kMaxWidth = 255;
+
+    explicit ThrottleRing(int width) : width_(width), slots_(kSlots, 0)
     {
-        P10_ASSERT(width > 0, "throttle width");
+        P10_ASSERT(width > 0 && width <= kMaxWidth, "throttle width");
     }
 
     /** Number of events already claimed at @p cycle. */
     int
     usedAt(uint64_t cycle) const
     {
-        size_t i = cycle & mask_;
-        return stamp_[i] == cycle ? count_[i] : 0;
+        uint32_t s = slots_[cycle & kMask];
+        return (s >> kCountBits) == (cycle >> kIndexBits)
+            ? static_cast<int>(s & kCountMask)
+            : 0;
     }
 
     /** True when @p cycle still has capacity. */
@@ -58,13 +80,15 @@ class ThrottleRing
     void
     claimAt(uint64_t cycle)
     {
-        size_t i = cycle & mask_;
-        if (stamp_[i] != cycle) {
-            stamp_[i] = cycle;
-            count_[i] = 0;
-        }
-        P10_ASSERT(count_[i] < width_, "overclaimed throttle slot");
-        ++count_[i];
+        P10_ASSERT(cycle < kCycleLimit, "throttle cycle beyond ring range");
+        uint32_t& s = slots_[cycle & kMask];
+        uint32_t stamp = static_cast<uint32_t>(cycle >> kIndexBits)
+                         << kCountBits;
+        if ((s & ~kCountMask) != stamp)
+            s = stamp;
+        P10_ASSERT(static_cast<int>(s & kCountMask) < width_,
+                   "overclaimed throttle slot");
+        ++s;
     }
 
     /** Find-and-claim: first free cycle >= @p earliest. */
@@ -80,26 +104,28 @@ class ThrottleRing
 
     /**
      * Serialize only the slots that can still influence the future:
-     * stamped entries with stamp >= @p minCycle. Slots stamped below
-     * minCycle can never be read again (every later probe targets a
-     * cycle >= minCycle, and a slot is consulted only when its stamp
-     * equals the probed cycle), so dropping them keeps checkpoints
-     * small — a ring is 64K slots but typically has a handful live.
+     * claimed slots whose cycle (`stamp << 16 | slot`) is >= @p
+     * minCycle. Slots below minCycle can never be read again (every
+     * later probe targets a cycle >= minCycle, and a slot is consulted
+     * only when its cycle equals the probed one), so dropping them
+     * keeps checkpoints small: a ring has 64K slots but typically a
+     * handful live. Each entry is the full u64 cycle plus a u16 count,
+     * in slot order, so the bytes do not depend on the slot encoding.
      */
     void
     saveState(common::BinWriter& w, uint64_t minCycle) const
     {
         w.u64(static_cast<uint64_t>(width_));
-        w.u64(mask_);
+        w.u64(kMask);
         uint64_t live = 0;
-        for (size_t i = 0; i <= mask_; ++i)
-            if (stamp_[i] != ~0ull && stamp_[i] >= minCycle)
+        for (size_t i = 0; i < kSlots; ++i)
+            if (liveAt(i, minCycle))
                 ++live;
         w.u64(live);
-        for (size_t i = 0; i <= mask_; ++i)
-            if (stamp_[i] != ~0ull && stamp_[i] >= minCycle) {
-                w.u64(stamp_[i]);
-                w.u16(count_[i]);
+        for (size_t i = 0; i < kSlots; ++i)
+            if (liveAt(i, minCycle)) {
+                w.u64(cycleAt(i));
+                w.u16(static_cast<uint16_t>(slots_[i] & kCountMask));
             }
     }
 
@@ -110,32 +136,51 @@ class ThrottleRing
         uint64_t width = r.u64();
         uint64_t mask = r.u64();
         if (r.failed() || width != static_cast<uint64_t>(width_) ||
-            mask != mask_)
+            mask != kMask)
             return common::Error::invalidArgument(
                 "throttle ring geometry mismatch");
         uint64_t live = r.u64();
-        if (!r.fits(live, 10)) // 8-byte stamp + 2-byte count per entry
+        if (!r.fits(live, 10)) // 8-byte cycle + 2-byte count per entry
             return r.status("throttle ring");
-        std::fill(stamp_.begin(), stamp_.end(), ~0ull);
-        std::fill(count_.begin(), count_.end(), 0);
+        std::fill(slots_.begin(), slots_.end(), 0u);
         for (uint64_t k = 0; k < live; ++k) {
-            uint64_t stamp = r.u64();
+            uint64_t cycle = r.u64();
             uint16_t count = r.u16();
-            if (r.failed() || stamp == ~0ull || count == 0 ||
-                count > static_cast<uint64_t>(width_))
+            if (r.failed() || cycle >= kCycleLimit || count == 0 ||
+                count > width_)
                 return common::Error::invalidArgument(
                     "throttle ring entry out of range");
-            stamp_[stamp & mask_] = stamp;
-            count_[stamp & mask_] = count;
+            slots_[cycle & kMask] =
+                (static_cast<uint32_t>(cycle >> kIndexBits) << kCountBits) |
+                count;
         }
         return r.status("throttle ring");
     }
 
   private:
+    static constexpr int kIndexBits = 16;
+    static constexpr int kCountBits = 8;
+    static constexpr size_t kSlots = size_t{1} << kIndexBits;
+    static constexpr uint64_t kMask = kSlots - 1;
+    static constexpr uint32_t kCountMask = (1u << kCountBits) - 1;
+
+    /** The cycle slot @p i was claimed at (meaningful when claimed). */
+    uint64_t
+    cycleAt(size_t i) const
+    {
+        return (static_cast<uint64_t>(slots_[i] >> kCountBits)
+                << kIndexBits) |
+               i;
+    }
+
+    bool
+    liveAt(size_t i, uint64_t minCycle) const
+    {
+        return (slots_[i] & kCountMask) != 0 && cycleAt(i) >= minCycle;
+    }
+
     int width_;
-    size_t mask_;
-    std::vector<uint64_t> stamp_;
-    std::vector<uint16_t> count_;
+    std::vector<uint32_t> slots_;
 };
 
 /**
@@ -203,7 +248,8 @@ class FifoRing
     }
 
     /** Restore from saveState(); fails when the saved occupancy does
-        not fit the ring's (config-derived) capacity. */
+        not fit the ring's (config-derived) capacity or an entry is at
+        or above kRestoredCycleLimit. */
     common::Status
     loadState(common::BinReader& r)
     {
@@ -213,8 +259,12 @@ class FifoRing
                 "pipeline queue occupancy exceeds capacity");
         head_ = 0;
         size_ = static_cast<size_t>(n);
-        for (size_t i = 0; i < size_; ++i)
+        for (size_t i = 0; i < size_; ++i) {
             buf_[i] = r.u64();
+            if (buf_[i] >= kRestoredCycleLimit)
+                return common::Error::invalidArgument(
+                    "pipeline queue entry beyond the cycle range");
+        }
         return r.status("pipeline queue");
     }
 
@@ -256,7 +306,8 @@ class BandwidthServer
         w.u64(nextFree_);
     }
 
-    /** Restore from saveState(); fails if occupancy differs. */
+    /** Restore from saveState(); fails if occupancy differs or the
+        horizon is at or above kRestoredCycleLimit. */
     common::Status
     loadState(common::BinReader& r)
     {
@@ -265,6 +316,9 @@ class BandwidthServer
         if (r.failed() || occ != occupancy_)
             return common::Error::invalidArgument(
                 "bandwidth server occupancy mismatch");
+        if (nextFree >= kRestoredCycleLimit)
+            return common::Error::invalidArgument(
+                "bandwidth server horizon beyond the cycle range");
         nextFree_ = nextFree;
         return common::okStatus();
     }

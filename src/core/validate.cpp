@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/config.h"
+#include "core/rings.h"
 
 namespace p10ee::core {
 
@@ -72,6 +73,16 @@ class Checker
         require(p.occupancy >= 1, n + ".occupancy must be >= 1");
     }
 
+    /** Each width sizes a ThrottleRing, whose 8-bit count caps it. */
+    void
+    ringWidth(const char* field, int v, int lo)
+    {
+        require(v >= lo && v <= ThrottleRing::kMaxWidth,
+                std::string(field) + "=" + std::to_string(v) +
+                    " outside [" + std::to_string(lo) + ", " +
+                    std::to_string(ThrottleRing::kMaxWidth) + "]");
+    }
+
     /** Table-size exponents allocate 1<<bits entries; bound them. */
     void
     tableBits(const char* field, int bits)
@@ -96,8 +107,8 @@ CoreConfig::validate() const
     Checker c;
 
     // Front end.
-    c.atLeast("fetchWidth", fetchWidth, 1);
-    c.atLeast("decodeWidth", decodeWidth, 1);
+    c.ringWidth("fetchWidth", fetchWidth, 1);
+    c.ringWidth("decodeWidth", decodeWidth, 1);
     c.atLeast("frontendStages", frontendStages, 1);
     c.atLeast("ibufferEntries", ibufferEntries, 1);
     c.atLeast("redirectPenalty", redirectPenalty, 0);
@@ -139,20 +150,20 @@ CoreConfig::validate() const
     c.atLeast("stqSize", stqSize, 1);
     c.atLeast("stqSizeSmt", stqSizeSmt, 1);
     c.atLeast("lmqSize", lmqSize, 1);
-    c.atLeast("dispatchWidth", dispatchWidth, 1);
-    c.atLeast("commitWidth", commitWidth, 1);
-    c.atLeast("issueWidth", issueWidth, 1);
+    c.ringWidth("dispatchWidth", dispatchWidth, 1);
+    c.ringWidth("commitWidth", commitWidth, 1);
+    c.ringWidth("issueWidth", issueWidth, 1);
 
     // Issue ports: every ThrottleRing the core constructs needs a
-    // positive width; mmaUnits and lsCombined may be 0 (feature off).
-    c.atLeast("aluPorts", aluPorts, 1);
-    c.atLeast("fpPorts", fpPorts, 1);
-    c.atLeast("vsuIntPorts", vsuIntPorts, 1);
-    c.atLeast("ldPorts", ldPorts, 1);
-    c.atLeast("stPorts", stPorts, 1);
-    c.atLeast("brPorts", brPorts, 1);
-    c.atLeast("mmaUnits", mmaUnits, 0);
-    c.atLeast("lsCombined", lsCombined, 0);
+    // width in [1, 255]; mmaUnits and lsCombined may be 0 (feature off).
+    c.ringWidth("aluPorts", aluPorts, 1);
+    c.ringWidth("fpPorts", fpPorts, 1);
+    c.ringWidth("vsuIntPorts", vsuIntPorts, 1);
+    c.ringWidth("ldPorts", ldPorts, 1);
+    c.ringWidth("stPorts", stPorts, 1);
+    c.ringWidth("brPorts", brPorts, 1);
+    c.ringWidth("mmaUnits", mmaUnits, 0);
+    c.ringWidth("lsCombined", lsCombined, 0);
 
     // Latencies.
     c.atLeast("aluLat", aluLat, 1);

@@ -898,6 +898,12 @@ TEST(ChipGolden, CorpusRoundTripsBitIdentical)
                                           g.smt, bytes);
         ASSERT_TRUE(warm.ok()) << warm.error().str();
         EXPECT_EQ(warm.value(), readFile(statsPath));
+        // A restore cannot see a change in how saveState orders or
+        // encodes state; a fresh capture must reproduce the file.
+        EXPECT_TRUE(
+            captureChipAndFinish(core::power10(), g.cores, g.smt).first ==
+            bytes)
+            << "a fresh capture differs from " << ckptPath;
     }
 }
 

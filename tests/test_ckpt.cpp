@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "core/config.h"
@@ -387,6 +389,73 @@ TEST(CkptHostile, RandomGarbageFuzzNeverCrashes)
     }
 }
 
+namespace {
+
+/** Core state of a power10 xz model right after beginRun. */
+std::vector<uint8_t>
+zeroWarmupCoreState(int smt)
+{
+    Bundle b = makeSources(profileByName("xz"), smt);
+    core::CoreModel model(core::power10());
+    model.beginRun(b.threads);
+    common::BinWriter w;
+    model.saveState(w);
+    return w.takeBytes();
+}
+
+} // namespace
+
+TEST(CkptHostile, ForgedCycleBeyondRangeRejected)
+{
+    // A zero-warmup core state ends with one block per SMT thread, all
+    // alike, so the SMT2 state is the SMT1 state plus one more block:
+    // the size difference locates the SMT1 block, whose first u64 is
+    // the thread's nextFetch cycle.
+    const std::vector<uint8_t> one = zeroWarmupCoreState(1);
+    const std::vector<uint8_t> two = zeroWarmupCoreState(2);
+    ASSERT_GT(two.size(), one.size());
+    const size_t block = two.size() - one.size();
+    ASSERT_TRUE(std::equal(one.end() - static_cast<ptrdiff_t>(block),
+                           one.end(),
+                           two.end() - static_cast<ptrdiff_t>(block)));
+
+    Bundle b = makeSources(profileByName("xz"), 1);
+    core::CoreModel model(core::power10());
+    model.beginRun(b.threads);
+    ckpt::CheckpointMeta meta;
+    meta.configName = "power10";
+    std::vector<uint8_t> bytes =
+        ckpt::Checkpoint::capture(model, b.walkers, meta).toBytes();
+    auto state = std::search(bytes.begin(), bytes.end(), one.begin(),
+                             one.end());
+    ASSERT_NE(state, bytes.end());
+    const size_t nextFetch = static_cast<size_t>(state - bytes.begin()) +
+                             one.size() - block;
+
+    // Patch nextFetch to 2^41 and re-seal with a valid checksum.
+    common::BinWriter cycle;
+    cycle.u64(1ull << 41);
+    std::copy(cycle.bytes().begin(), cycle.bytes().end(),
+              bytes.begin() + static_cast<ptrdiff_t>(nextFetch));
+    bytes.resize(bytes.size() - 8);
+    common::Fnv1a h;
+    h.bytes(bytes.data(), bytes.size());
+    common::BinWriter sum;
+    sum.u64(h.digest());
+    bytes.insert(bytes.end(), sum.bytes().begin(), sum.bytes().end());
+
+    auto ckOr = ckpt::Checkpoint::fromBytes(bytes);
+    ASSERT_TRUE(ckOr.ok()) << ckOr.error().str();
+    Bundle fb = makeSources(profileByName("xz"), 1);
+    core::CoreModel fresh(core::power10());
+    fresh.beginRun(fb.threads);
+    auto st = ckOr.value().restore(fresh, fb.walkers);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, common::ErrorCode::InvalidArgument);
+    EXPECT_NE(st.error().message.find("cycle range"), std::string::npos)
+        << st.error().message;
+}
+
 TEST(CkptHostile, EmptyBufferTruncatedRejected)
 {
     auto r = ckpt::Checkpoint::fromBytes(nullptr, 0);
@@ -468,6 +537,10 @@ TEST(CkptGolden, CorpusRoundTripsBitIdentical)
         EXPECT_EQ(restoreAndMeasure(g.config, g.smt, bytes),
                   readFile(statsPath))
             << g.stem;
+        // A restore cannot see a change in how saveState orders or
+        // encodes state; a fresh capture must reproduce the file.
+        EXPECT_TRUE(captureAndFinish(g.config, g.smt).first == bytes)
+            << g.stem << ": a fresh capture differs from " << ckptPath;
     }
 }
 

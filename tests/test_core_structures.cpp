@@ -115,6 +115,79 @@ TEST(Rings, SparseFarApartCyclesReuseSlots)
     EXPECT_EQ(r.record(10 + (1u << 16)), 10u + (1u << 16));
 }
 
+namespace {
+
+/** A saved ring with one live entry, built by hand. */
+std::vector<uint8_t>
+ringBytes(uint64_t width, uint64_t cycle, uint16_t count)
+{
+    p10ee::common::BinWriter w;
+    w.u64(width);
+    w.u64(0xFFFF); // 64K slots
+    w.u64(1);
+    w.u64(cycle);
+    w.u16(count);
+    return w.takeBytes();
+}
+
+} // namespace
+
+TEST(Rings, LoadRejectsCycleBeyondRange)
+{
+    ThrottleRing r(2);
+    auto bytes = ringBytes(2, ThrottleRing::kCycleLimit, 1);
+    p10ee::common::BinReader in(bytes);
+    auto st = r.loadState(in);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, p10ee::common::ErrorCode::InvalidArgument);
+}
+
+TEST(Rings, LoadAcceptsLastCycleAndRoundTrips)
+{
+    const uint64_t last = ThrottleRing::kCycleLimit - 1;
+    ThrottleRing r(2);
+    auto bytes = ringBytes(2, last, 1);
+    p10ee::common::BinReader in(bytes);
+    ASSERT_TRUE(r.loadState(in).ok());
+    EXPECT_EQ(r.usedAt(last), 1);
+    EXPECT_EQ(r.usedAt(last & 0xFFFF), 0); // same slot, other cycle
+    p10ee::common::BinWriter out;
+    r.saveState(out, 0);
+    EXPECT_EQ(out.bytes(), bytes);
+    r.claimAt(last);
+    EXPECT_FALSE(r.hasRoom(last));
+}
+
+TEST(Rings, QueueAndServerLoadRejectCycleBeyondRange)
+{
+    for (uint64_t cycle : {kRestoredCycleLimit - 1, kRestoredCycleLimit}) {
+        SCOPED_TRACE(cycle);
+        const bool inRange = cycle < kRestoredCycleLimit;
+
+        p10ee::common::BinWriter q;
+        q.u64(1); // one queued entry
+        q.u64(cycle);
+        FifoRing fifo;
+        fifo.reset(4);
+        p10ee::common::BinReader qin(q.bytes());
+        EXPECT_EQ(fifo.loadState(qin).ok(), inRange);
+
+        p10ee::common::BinWriter s;
+        s.u32(4); // occupancy
+        s.u64(cycle);
+        BandwidthServer server(4);
+        p10ee::common::BinReader sin(s.bytes());
+        EXPECT_EQ(server.loadState(sin).ok(), inRange);
+    }
+}
+
+TEST(RingsDeathTest, ClaimBeyondCycleRangeAborts)
+{
+    ThrottleRing r(1);
+    EXPECT_DEATH(r.claimAt(ThrottleRing::kCycleLimit),
+                 "throttle cycle beyond ring range");
+}
+
 TEST(Bandwidth, SerializesOverlappingRequests)
 {
     BandwidthServer s(4);

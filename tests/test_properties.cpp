@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <map>
 #include <memory>
 #include <tuple>
 
@@ -106,29 +107,65 @@ class RingWidth : public ::testing::TestWithParam<int>
 {
 };
 
+// Two claim streams per width: one from cycle 0 across four 2^16
+// slot-aliasing boundaries, one from just below 2^40 - 2^17 up to near
+// the ring's 2^40 limit. Bursts at one cycle fill even a 255-wide
+// slot. Halfway through, the ring is saved and restored into a fresh
+// ring, which must give the original ring's answers from then on.
 TEST_P(RingWidth, NeverExceedsWidthAndFindsEarliestSlot)
 {
     int width = GetParam();
-    core::ThrottleRing ring(width);
-    std::map<uint64_t, int> oracle;
-    common::Xoshiro rng(static_cast<uint64_t>(width) * 17);
-    uint64_t base = 0;
-    for (int i = 0; i < 20000; ++i) {
-        base += rng.below(3);
-        uint64_t earliest = base + rng.below(8);
-        uint64_t got = ring.record(earliest);
-        // Earliest slot >= earliest with spare capacity per the oracle.
-        uint64_t want = earliest;
-        while (oracle[want] >= width)
-            ++want;
-        ASSERT_EQ(got, want) << "op " << i;
-        ++oracle[want];
-        ASSERT_LE(oracle[want], width);
+    const uint64_t limit = core::ThrottleRing::kCycleLimit;
+    const std::pair<uint64_t, uint64_t> streams[] = {
+        {0, 5 << 16},
+        {limit - (1ull << 17) - 4096, limit - (1ull << 14)},
+    };
+    for (auto [start, end] : streams) {
+        SCOPED_TRACE(start);
+        core::ThrottleRing ring(width);
+        std::unique_ptr<core::ThrottleRing> restored;
+        std::map<uint64_t, int> oracle;
+        common::Xoshiro rng(static_cast<uint64_t>(width) * 17 + start);
+        const uint64_t mid = start + (end - start) / 2;
+        uint64_t base = start;
+        for (int i = 0; base < end; ++i) {
+            // Mostly creep forward; now and then leap up to 2^13.
+            base += rng.chance(0.005) ? rng.below(1u << 13) : rng.below(3);
+            if (!restored && base >= mid) {
+                // Every later probe targets a cycle >= base.
+                common::BinWriter w;
+                ring.saveState(w, base);
+                restored = std::make_unique<core::ThrottleRing>(width);
+                common::BinReader r(w.bytes());
+                ASSERT_TRUE(restored->loadState(r).ok());
+                ASSERT_EQ(r.remaining(), 0u);
+            }
+            uint64_t earliest = base + rng.below(8);
+            uint64_t burst = rng.chance(0.05)
+                ? 1 + rng.below(2 * static_cast<uint64_t>(width))
+                : 1;
+            for (uint64_t k = 0; k < burst; ++k) {
+                uint64_t got = ring.record(earliest);
+                if (restored) {
+                    ASSERT_EQ(restored->record(earliest), got)
+                        << "op " << i;
+                }
+                // Earliest slot >= earliest with spare capacity per the
+                // oracle.
+                uint64_t want = earliest;
+                while (oracle[want] >= width)
+                    ++want;
+                ASSERT_EQ(got, want) << "op " << i;
+                ++oracle[want];
+                ASSERT_LE(oracle[want], width);
+            }
+        }
+        ASSERT_TRUE(restored);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, RingWidth,
-                         ::testing::Values(1, 2, 4, 8));
+                         ::testing::Values(1, 2, 4, 8, 255));
 
 // ---------------- Core-model monotonicity sweeps ----------------
 

@@ -117,6 +117,7 @@ TEST(ConfigValidate, CollectsEveryViolation)
     cfg.bp.gshareBits = 40;     // table too large
     cfg.clockGateQuality = 1.5; // quality outside [0,1]
     cfg.robSize = 0;
+    cfg.issueWidth = 256;       // beyond a throttle ring's 8-bit count
 
     auto s = cfg.validate();
     ASSERT_FALSE(s.ok());
@@ -127,6 +128,7 @@ TEST(ConfigValidate, CollectsEveryViolation)
     EXPECT_NE(msg.find("gshareBits"), std::string::npos) << msg;
     EXPECT_NE(msg.find("clockGateQuality"), std::string::npos) << msg;
     EXPECT_NE(msg.find("robSize"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("issueWidth=256"), std::string::npos) << msg;
     // The offending design is named.
     EXPECT_NE(msg.find(cfg.name), std::string::npos) << msg;
 }
