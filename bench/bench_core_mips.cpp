@@ -1,27 +1,17 @@
 /**
  * @file
  * Raw simulator-speed harness: host-MIPS of the bare core advance
- * loop, per config x SMT x fidelity mode. This is the bench the
- * FastM1 acceptance gate reads — `core_mips.host_mips.*.fast_m1`
- * rows must stay >= 2x the full-mode baseline on the same machine.
- *
- * Each row warms one CoreModel per mode, then alternates timed
- * measurement windows between the two warmed machines (best rep wins
- * — the max-MIPS estimator rejects scheduler noise, and interleaving
- * cancels host frequency drift that would bias whichever mode ran
- * last). Both modes run the identical instruction stream from the
- * identical seed, so the arch_match column doubles as a cheap
- * cross-mode identity smoke: cycles and instruction counts must agree
- * exactly between full and fast_m1.
+ * loop, per config x SMT. Each row warms one CoreModel, then times
+ * repeated measurement windows on it (best rep wins — the max-MIPS
+ * estimator rejects scheduler noise).
  */
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "api/types.h"
 #include "bench_util.h"
 #include "common/table.h"
 
@@ -29,55 +19,41 @@ using namespace p10ee;
 
 namespace {
 
-struct RowResult
-{
-    core::RunResult run; ///< first measured window (arch identity)
-    double mips = 0.0;   ///< best rep
-};
-
-/** One warmed machine of one fidelity mode, ready to time windows. */
-struct ModeState
+/** Best-of-reps host-MIPS of one warmed machine. */
+double
+rowMips(const core::CoreConfig& cfg,
+        const workloads::WorkloadProfile& profile, int smt,
+        uint64_t warmupInstrs, uint64_t measureInstrs)
 {
     std::vector<std::unique_ptr<workloads::SyntheticWorkload>> sources;
-    std::unique_ptr<core::CoreModel> model;
-    RowResult out;
-};
-
-ModeState
-prepare(const core::CoreConfig& cfg,
-        const workloads::WorkloadProfile& profile, int smt, bool fast,
-        uint64_t warmupInstrs)
-{
-    ModeState st;
     std::vector<workloads::InstrSource*> ptrs;
     for (int t = 0; t < smt; ++t) {
-        st.sources.push_back(
+        sources.push_back(
             std::make_unique<workloads::SyntheticWorkload>(profile, t));
-        ptrs.push_back(st.sources.back().get());
+        ptrs.push_back(sources.back().get());
     }
-    st.model = std::make_unique<core::CoreModel>(cfg);
-    st.model->beginRun(ptrs, /*infiniteL2=*/false, fast);
-    st.model->advance(warmupInstrs);
+    auto model = std::make_unique<core::CoreModel>(cfg);
+    model->beginRun(ptrs);
+    model->advance(warmupInstrs);
     bench::accountSimInstrs(warmupInstrs);
-    return st;
-}
 
-void
-timeWindow(ModeState& st, const core::RunOptions& opts, int rep)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    core::RunResult r = st.model->measure(opts);
-    const double dt = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    bench::accountSimInstrs(r.instrs);
-    bench::accountMeasured(r.instrs, dt);
-    const double mips =
-        dt > 0.0 ? static_cast<double>(r.instrs) / dt / 1e6 : 0.0;
-    if (rep == 0)
-        st.out.run = r; // arch identity is checked on the first window
-    if (mips > st.out.mips)
-        st.out.mips = mips;
+    core::RunOptions opts;
+    opts.measureInstrs = measureInstrs;
+    constexpr int kReps = 5;
+    double best = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const core::RunResult r = model->measure(opts);
+        const double dt = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        bench::accountSimInstrs(r.instrs);
+        bench::accountMeasured(r.instrs, dt);
+        if (dt > 0.0)
+            best = std::max(best,
+                            static_cast<double>(r.instrs) / dt / 1e6);
+    }
+    return best;
 }
 
 } // namespace
@@ -92,9 +68,8 @@ main(int argc, char** argv)
     const workloads::WorkloadProfile profile =
         workloads::specint2017().front();
 
-    common::Table t("core advance-loop host-MIPS (config x SMT x mode)");
-    t.header({"config", "smt", "full_mips", "fast_m1_mips", "speedup",
-              "arch_match"});
+    common::Table t("core advance-loop host-MIPS (config x SMT)");
+    t.header({"config", "smt", "mips"});
 
     struct Cfg
     {
@@ -105,47 +80,13 @@ main(int argc, char** argv)
                                    {"power9", core::power9()}};
     for (const Cfg& c : cfgs) {
         for (int smt : {1, 2, 4}) {
-            // Both modes keep a warmed machine alive and the timed
-            // windows alternate between them rep by rep, so host
-            // frequency drift hits both modes equally instead of
-            // biasing whichever mode ran last.
-            ModeState fullSt =
-                prepare(c.cfg, profile, smt, /*fast=*/false, kWarmup);
-            ModeState fastSt =
-                prepare(c.cfg, profile, smt, /*fast=*/true, kWarmup);
-            core::RunOptions opts;
-            opts.measureInstrs = kInstrs;
-            constexpr int kReps = 5;
-            for (int rep = 0; rep < kReps; ++rep) {
-                timeWindow(fullSt, opts, rep);
-                timeWindow(fastSt, opts, rep);
-            }
-            const RowResult& full = fullSt.out;
-            const RowResult& fast = fastSt.out;
-            // Architectural identity of the first measured window:
-            // same cycles, same instruction count, same IPC.
-            const bool match =
-                full.run.cycles == fast.run.cycles &&
-                full.run.instrs == fast.run.instrs;
-            const double speedup =
-                full.mips > 0.0 ? fast.mips / full.mips : 0.0;
-            const std::string base = "core_mips.host_mips." +
-                                     std::string(c.name) + ".smt" +
-                                     std::to_string(smt);
-            ctx.report.addScalar(base + ".full", full.mips);
-            ctx.report.addScalar(base + ".fast_m1", fast.mips);
-            ctx.report.addScalar("core_mips.speedup." +
+            const double mips =
+                rowMips(c.cfg, profile, smt, kWarmup, kInstrs);
+            ctx.report.addScalar("core_mips.host_mips." +
                                      std::string(c.name) + ".smt" +
                                      std::to_string(smt),
-                                 speedup);
-            t.row({c.name, std::to_string(smt),
-                   common::fmt(full.mips, 2), common::fmt(fast.mips, 2),
-                   common::fmt(speedup, 2), match ? "yes" : "NO"});
-            if (!match)
-                std::fprintf(stderr,
-                             "bench_core_mips: WARNING: %s smt%d "
-                             "fast_m1 diverged architecturally\n",
-                             c.name, smt);
+                                 mips);
+            t.row({c.name, std::to_string(smt), common::fmt(mips, 2)});
         }
     }
 

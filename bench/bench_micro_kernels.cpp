@@ -154,16 +154,15 @@ class CapturingReporter : public benchmark::ConsoleReporter
 int
 main(int argc, char** argv)
 {
-    // The shared bench flags (--out, its deprecated --stats-json
-    // alias and, ignored here, --instrs / --warmup — iteration counts
-    // are google-benchmark's business) are stripped before
-    // benchmark::Initialize sees the argv.
+    // The shared bench flags (--out and, ignored here, --instrs /
+    // --warmup — iteration counts are google-benchmark's business) are
+    // stripped before benchmark::Initialize sees the argv.
     std::string jsonPath;
     std::vector<char*> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if ((a == "--out" || a == "--stats-json") && i + 1 < argc)
+        if (a == "--out" && i + 1 < argc)
             jsonPath = argv[++i];
         else if ((a == "--instrs" || a == "--warmup") && i + 1 < argc)
             ++i;

@@ -34,8 +34,6 @@ namespace p10ee::bench {
  * Flags understood by every bench (all optional; parsed by the shared
  * api::ArgParser table, so spellings and --help match the CLIs):
  *   --out <path>    write a "p10ee-report/1" JSON report after the run
- *                   (--stats-json stays accepted as a deprecated
- *                   alias)
  *   --instrs <n>    override the bench's measurement window
  *   --warmup <n>    override the bench's warmup window
  *   --jobs <n>      worker threads for runGrid-parallel benches

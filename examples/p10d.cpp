@@ -70,7 +70,7 @@ main(int argc, char** argv)
     parser.u64("--queue-capacity", &queueCapacity,
                "max queued requests before overload rejection", 1,
                4096);
-    parser.str("--metrics-out", &metricsOut, "<path>",
+    parser.str("--metrics-out", &metricsOut, "path",
                "write the final metrics registry as a report sidecar "
                "after the drain (live values: the `metrics` request)");
     if (auto st = parser.parse(argc, argv); !st) {

@@ -139,25 +139,25 @@ main(int argc, char** argv)
         "p10fleet",
         "Run a sweep spec across a fleet of p10d workers with "
         "lease-based retry and graceful degradation.");
-    parser.str("--spec", &specPath, "<path>",
+    parser.str("--spec", &specPath, "path",
                "sweep specification (JSON; required)");
     api::stdflags::out(parser, &out);
-    parser.str("--workers", &workersCsv, "<host:port,...>",
+    parser.str("--workers", &workersCsv, "host:port,...",
                "worker addresses (CSV)");
-    parser.str("--fleet", &fleetFile, "<path>",
+    parser.str("--fleet", &fleetFile, "path",
                "fleet file: {\"workers\":[\"host:port\",...]}");
     parser.intRange("--spawn", &spawnCount, 0, 64,
                     "fork this many local p10d workers on ephemeral "
                     "ports");
-    parser.str("--p10d", &p10dBinary, "<path>",
+    parser.str("--p10d", &p10dBinary, "path",
                "p10d binary for --spawn (default: alongside p10fleet)");
     api::stdflags::cacheDir(parser, &cacheDir);
-    parser.str("--fleet-stats", &fleetStatsOut, "<path>",
+    parser.str("--fleet-stats", &fleetStatsOut, "path",
                "write scheduling-dependent fleet telemetry sidecar");
-    parser.str("--trace-out", &traceOut, "<path>",
+    parser.str("--trace-out", &traceOut, "path",
                "record a distributed flight trace and write the merged "
                "Perfetto timeline (sidecar; never changes the report)");
-    parser.str("--metrics-out", &metricsOut, "<path>",
+    parser.str("--metrics-out", &metricsOut, "path",
                "write the process metrics registry as a report sidecar");
     parser.intRange("--local-jobs", &localJobs, 1, 256,
                     "pool threads for degraded in-process execution");
@@ -169,9 +169,9 @@ main(int argc, char** argv)
                "per-attempt lease deadline (0 derives from the spec's "
                "max_cycles)",
                0, 3600000);
-    parser.str("--chaos-kill", &chaosKill, "<i@ms,...>",
+    parser.str("--chaos-kill", &chaosKill, "i@ms,...",
                "SIGKILL spawned worker i at ms after start");
-    parser.str("--chaos-stop", &chaosStop, "<i@ms+dur,...>",
+    parser.str("--chaos-stop", &chaosStop, "i@ms+dur,...",
                "SIGSTOP spawned worker i at ms, SIGCONT dur ms later");
     parser.boolean("--csv", &csv, "machine-readable summary");
     if (auto st = parser.parse(argc, argv); !st) {

@@ -7,7 +7,6 @@
  *
  *   p10sim_cli --config power10 --workload xz --smt 4 \
  *              --instrs 200000 [--cores N] [--csv] [--ablate <group>] \
- *              [--mode full|fast_m1] \
  *              [--trace-out trace.json] [--out stats.json] \
  *              [--sample-interval 1024] \
  *              [--ckpt-save warm.ckpt | --ckpt-load warm.ckpt]
@@ -16,13 +15,7 @@
  * code path a `p10d` run request takes — and the --out report is the
  * deterministic api::Service::runReport core (host timing zeroed; real
  * timing goes to stderr) extended with the printed table and the
- * telemetry series. --stats-json stays accepted as a deprecated alias
- * of --out.
- *
- * --mode fast_m1 selects the raw-speed path (api::SimMode::FastM1):
- * architectural results are byte-identical to full mode, but power
- * and telemetry are skipped entirely, so the power rows are absent
- * from the table and --trace-out is a usage error.
+ * telemetry series.
  *
  * --ckpt-save snapshots the machine after warmup (before the measured
  * window) into a versioned checkpoint file; --ckpt-load restores such
@@ -70,7 +63,6 @@ main(int argc, char** argv)
     std::string ckptSave;
     std::string ckptLoad;
     uint64_t sampleInterval = 1024;
-    std::string modeStr = "full";
 
     api::ArgParser parser(
         "p10sim_cli",
@@ -78,10 +70,10 @@ main(int argc, char** argv)
         "stats and power.");
     parser.str("--config", &configName, "power9|power10",
                "machine (default power10)");
-    parser.str("--ablate", &ablate, "<group>",
+    parser.str("--ablate", &ablate, "group",
                "revert one POWER10 group (branch_operation|latency_bw|"
                "l2_cache|decode_double_vsx|queues)");
-    parser.str("--workload", &workload, "<name>",
+    parser.str("--workload", &workload, "name",
                "SPECint-like profile or trace:<path> (default "
                "perlbench)");
     parser.intRange("--smt", &smt, 1, 8,
@@ -92,16 +84,15 @@ main(int argc, char** argv)
     api::stdflags::instrs(parser, &instrs);
     api::stdflags::warmup(parser, &warmup);
     api::stdflags::seed(parser, &seed);
-    api::stdflags::mode(parser, &modeStr);
     parser.boolean("--csv", &csv, "machine-readable output");
-    parser.str("--trace-out", &traceOut, "<path>",
+    parser.str("--trace-out", &traceOut, "path",
                "write a Chrome/Perfetto trace of the run");
     api::stdflags::out(parser, &out);
     parser.u64("--sample-interval", &sampleInterval,
                "telemetry interval in cycles (default 1024)", 1);
-    parser.str("--ckpt-save", &ckptSave, "<path>",
+    parser.str("--ckpt-save", &ckptSave, "path",
                "checkpoint the machine after warmup, then measure");
-    parser.str("--ckpt-load", &ckptLoad, "<path>",
+    parser.str("--ckpt-load", &ckptLoad, "path",
                "restore a warmup checkpoint and skip the warmup");
     parser.boolean("--list", &list, "list workloads and exit");
     if (auto st = parser.parse(argc, argv); !st) {
@@ -122,23 +113,6 @@ main(int argc, char** argv)
         return 0;
     }
 
-    auto modeOr = api::parseSimMode(modeStr);
-    if (!modeOr) {
-        std::fprintf(stderr, "p10sim_cli: error: %s\n",
-                     modeOr.error().str().c_str());
-        std::fputs(parser.help().c_str(), stderr);
-        return 2;
-    }
-    const api::SimMode mode = modeOr.value();
-    if (mode == api::SimMode::FastM1 && !traceOut.empty()) {
-        std::fprintf(stderr,
-                     "p10sim_cli: error: --trace-out needs per-cycle "
-                     "telemetry, which --mode fast_m1 skips (field: "
-                     "mode)\n");
-        std::fputs(parser.help().c_str(), stderr);
-        return 2;
-    }
-
     api::RunRequest req;
     // --ablate is sugar for the facade's "ablate:<group>" spelling.
     req.config = ablate.empty() ? configName : "ablate:" + ablate;
@@ -150,14 +124,9 @@ main(int argc, char** argv)
     req.seed = seed;
     req.ckptSave = ckptSave;
     req.ckptLoad = ckptLoad;
-    req.mode = mode;
 
     obs::TimeSeriesRecorder rec(sampleInterval);
-    // FastM1 skips the per-cycle power-proxy/telemetry machinery
-    // wholesale — no recorder, no timings — so a fast-mode report
-    // simply has no telemetry block rather than a zeroed one.
-    const bool telemetry = mode == api::SimMode::Full &&
-                           (!traceOut.empty() || !out.empty());
+    const bool telemetry = !traceOut.empty() || !out.empty();
     if (telemetry) {
         req.recorder = &rec;
         // Power tracks need per-cycle timings; only pay for them when a
@@ -277,14 +246,11 @@ main(int argc, char** argv)
     t.row({"l2_mpki", common::fmt(run.perKilo("l2.miss"), 2)});
     t.row({"l3_mpki", common::fmt(run.perKilo("l3.miss"), 2)});
     t.row({"fusion_per_ki", common::fmt(run.perKilo("fusion.pair"), 2)});
-    if (mode == api::SimMode::Full) {
-        t.row({"power_w", common::fmt(power.watts(), 3)});
-        t.row({"clock_w", common::fmt(power.clockPj * 0.004, 3)});
-        t.row({"switch_w", common::fmt(power.switchPj * 0.004, 3)});
-        t.row({"leak_w", common::fmt(power.leakPj * 0.004, 3)});
-        t.row({"ipc_per_w",
-               common::fmt(run.ipc() / power.watts(), 4)});
-    }
+    t.row({"power_w", common::fmt(power.watts(), 3)});
+    t.row({"clock_w", common::fmt(power.clockPj * 0.004, 3)});
+    t.row({"switch_w", common::fmt(power.switchPj * 0.004, 3)});
+    t.row({"leak_w", common::fmt(power.leakPj * 0.004, 3)});
+    t.row({"ipc_per_w", common::fmt(run.ipc() / power.watts(), 4)});
     if (cores >= 2) {
         t.row({"chip_freq_ghz", common::fmt(outcome.chip.freqGhz, 4)});
         t.row({"chip_boost", common::fmt(outcome.chip.boost, 4)});

@@ -6,12 +6,7 @@
  * one deterministic p10ee-report/1 document.
  *
  *   p10sweep_cli --spec sweep.json --jobs 8 --out report.json [--csv]
- *                [--cache-dir cache/] [--mode full|fast_m1]
- *
- * --mode overrides the spec's "mode" axis wholesale: the sweep runs
- * every shard at the given fidelity, exactly as if the spec said
- * "mode": ["<m>"]. Without it the spec's own axis (default ["full"])
- * governs.
+ *                [--cache-dir cache/]
  *
  * The merged report is byte-identical for a given spec regardless of
  * --jobs — and regardless of entry path: a library runSweep() call or
@@ -53,23 +48,21 @@ main(int argc, char** argv)
     int jobs = sweep::ThreadPool::defaultThreads();
     bool csv = false;
     bool list = false;
-    std::string modeStr;
 
     api::ArgParser parser(
         "p10sweep_cli",
         "Run a sweep spec on a thread pool and emit the canonical "
         "merged p10ee-report/1 document.");
-    parser.str("--spec", &specPath, "<path>",
+    parser.str("--spec", &specPath, "path",
                "sweep specification (JSON; required; workloads may "
                "name profiles or trace:<path> containers)");
     api::stdflags::jobs(parser, &jobs);
     api::stdflags::out(parser, &out);
     api::stdflags::cacheDir(parser, &cacheDir);
-    api::stdflags::mode(parser, &modeStr);
-    parser.str("--cache-stats", &cacheStatsOut, "<path>",
+    parser.str("--cache-stats", &cacheStatsOut, "path",
                "write cache-provenance sidecar report (requires "
                "--cache-dir)");
-    parser.str("--metrics-out", &metricsOut, "<path>",
+    parser.str("--metrics-out", &metricsOut, "path",
                "write the process metrics registry as a report sidecar");
     parser.boolean("--csv", &csv, "machine-readable summary");
     parser.boolean("--list", &list,
@@ -105,16 +98,7 @@ main(int argc, char** argv)
     auto specOr = sweep::SweepSpec::fromJsonFile(specPath);
     if (!specOr)
         return fail(specOr.error().str());
-    sweep::SweepSpec spec = specOr.value();
-    if (!modeStr.empty()) {
-        auto modeOr = api::parseSimMode(modeStr);
-        if (!modeOr)
-            return fail(modeOr.error().str());
-        // The flag overrides the spec's fidelity axis wholesale; the
-        // combination is re-validated by runSweep (fast_m1 with a
-        // multi-core axis is still a structured exit-2 error).
-        spec.modes = {modeOr.value()};
-    }
+    const sweep::SweepSpec& spec = specOr.value();
 
     api::Service service(api::Service::Options{cacheDir});
     api::SweepOptions sweepOpts;

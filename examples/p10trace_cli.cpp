@@ -99,13 +99,13 @@ cmdRecord(int argc, char** argv)
         "p10trace_cli record",
         "Record a workload's instruction stream into a p10trace/1 "
         "container.");
-    parser.str("--workload", &workload, "<name>",
+    parser.str("--workload", &workload, "name",
                "workload to record (profile name or trace:<path>; "
                "default perlbench)");
     api::stdflags::instrs(parser, &instrs);
     api::stdflags::seed(parser, &seed);
     api::stdflags::out(parser, &out);
-    parser.str("--name", &name, "<name>",
+    parser.str("--name", &name, "name",
                "recorded trace name (default: the workload name)");
     parser.str("--encoding", &encoding, "raw|delta",
                "chunk encoding (default delta)");
@@ -164,7 +164,7 @@ cmdInfo(int argc, char** argv)
     bool csv = false;
     api::ArgParser parser("p10trace_cli info",
                           "Print a trace container's metadata.");
-    parser.str("--in", &in, "<path>", "trace container to inspect");
+    parser.str("--in", &in, "path", "trace container to inspect");
     parser.boolean("--csv", &csv, "machine-readable output");
     if (int rc = parseOrExit(parser, argc, argv); rc >= 0)
         return rc;
@@ -203,7 +203,7 @@ cmdVerify(int argc, char** argv)
         "p10trace_cli verify",
         "Fully verify a trace container: envelope, checksum, every "
         "record's semantic ranges, and the content hash.");
-    parser.str("--in", &in, "<path>", "trace container to verify");
+    parser.str("--in", &in, "path", "trace container to verify");
     if (int rc = parseOrExit(parser, argc, argv); rc >= 0)
         return rc;
     if (in.empty())
@@ -249,10 +249,10 @@ cmdExtract(int argc, char** argv)
         "p10trace_cli extract",
         "Mine hot L1-contained loops out of a trace and write each as "
         "its own replayable snippet container.");
-    parser.str("--in", &in, "<path>", "trace container to mine");
-    parser.str("--out-dir", &outDir, "<dir>",
+    parser.str("--in", &in, "path", "trace container to mine");
+    parser.str("--out-dir", &outDir, "dir",
                "directory for the snippet containers");
-    parser.str("--report", &report, "<path>",
+    parser.str("--report", &report, "path",
                "write coverage accounting as a p10ee-report/1 file");
     parser.u64("--top", &topK, "keep at most this many snippets "
                "(default 5)", 1, 64);

@@ -345,121 +345,6 @@ EOF
     echo "trace smoke (${tag}): record/sweep/ckpt/extract byte-stable"
 }
 
-# Mode smoke: the FastM1 raw-speed path (api::SimMode::FastM1) must be
-# architecturally byte-identical to Full fidelity — same instruction
-# stream, same cycles, same IPC — with the power/telemetry results
-# absent, not zeroed. Checked per flavour: single-run CSV identity
-# (full output minus its power rows IS the fast output), cross-mode
-# checkpoint restore in both directions, sweep byte-stability at any
-# --jobs and cold-vs-warm cache, per-shard architectural agreement
-# with the full-mode sweep, a live fleet round-trip, and structured
-# "mode" field errors for hostile values at the CLI and spec layers.
-mode_smoke() {
-    local build="$1"
-    local tag="$2"
-    local dir="${smoke_dir}/mode-${tag}"
-    rm -rf "${dir}"
-    mkdir -p "${dir}"
-    echo "=== mode smoke (${tag}): fast_m1 vs full architectural identity ==="
-    "${build}/examples/p10sim_cli" --workload xz --smt 2 \
-        --instrs 5000 --warmup 1000 --csv --mode full \
-        > "${dir}/FULL.csv" 2>/dev/null
-    "${build}/examples/p10sim_cli" --workload xz --smt 2 \
-        --instrs 5000 --warmup 1000 --csv --mode fast_m1 \
-        > "${dir}/FAST.csv" 2>/dev/null
-    grep -vE '^(power_w|clock_w|switch_w|leak_w|ipc_per_w),' \
-        "${dir}/FULL.csv" > "${dir}/FULL_arch.csv"
-    cmp "${dir}/FULL_arch.csv" "${dir}/FAST.csv"
-    # Cross-mode checkpoints: the state schema carries no power
-    # counters, so a warmup snapshot saved in one mode must restore in
-    # the other with a bit-identical measured window.
-    "${build}/examples/p10sim_cli" --workload xz --instrs 3000 \
-        --warmup 2000 --csv --mode fast_m1 \
-        --ckpt-save "${dir}/fast.ckpt" \
-        > "${dir}/SAVE_fast.csv" 2>/dev/null
-    "${build}/examples/p10sim_cli" --workload xz --instrs 3000 \
-        --warmup 2000 --csv --mode full \
-        --ckpt-load "${dir}/fast.ckpt" \
-        > "${dir}/LOAD_full.csv" 2>/dev/null
-    grep -vE '^(power_w|clock_w|switch_w|leak_w|ipc_per_w),' \
-        "${dir}/LOAD_full.csv" > "${dir}/LOAD_full_arch.csv"
-    cmp "${dir}/SAVE_fast.csv" "${dir}/LOAD_full_arch.csv"
-    "${build}/examples/p10sim_cli" --workload xz --instrs 3000 \
-        --warmup 2000 --csv --mode full \
-        --ckpt-save "${dir}/full.ckpt" \
-        > "${dir}/SAVE_full.csv" 2>/dev/null
-    "${build}/examples/p10sim_cli" --workload xz --instrs 3000 \
-        --warmup 2000 --csv --mode fast_m1 \
-        --ckpt-load "${dir}/full.ckpt" \
-        > "${dir}/LOAD_fast.csv" 2>/dev/null
-    grep -vE '^(power_w|clock_w|switch_w|leak_w|ipc_per_w),' \
-        "${dir}/SAVE_full.csv" > "${dir}/SAVE_full_arch.csv"
-    cmp "${dir}/SAVE_full_arch.csv" "${dir}/LOAD_fast.csv"
-    # Sweep: fast_m1 byte-stable at any --jobs, cold vs warm cache,
-    # and through a live fleet; architecturally identical per shard to
-    # the full-mode sweep of the same spec.
-    sed 's/"seed": 7/"mode": ["fast_m1"],\n  "seed": 7/' \
-        "${smoke_dir}/sweep_smoke.json" > "${dir}/fast_sweep.json"
-    "${build}/examples/p10sweep_cli" \
-        --spec "${smoke_dir}/sweep_smoke.json" --jobs 2 \
-        --out "${dir}/SWEEP_full.json" >/dev/null
-    "${build}/examples/p10sweep_cli" --spec "${dir}/fast_sweep.json" \
-        --jobs 1 --out "${dir}/SWEEP_fast_j1.json" >/dev/null
-    rm -rf "${dir}/cache"
-    "${build}/examples/p10sweep_cli" --spec "${dir}/fast_sweep.json" \
-        --jobs 4 --cache-dir "${dir}/cache" \
-        --out "${dir}/SWEEP_fast_cold.json" >/dev/null
-    "${build}/examples/p10sweep_cli" --spec "${dir}/fast_sweep.json" \
-        --jobs 4 --cache-dir "${dir}/cache" \
-        --out "${dir}/SWEEP_fast_warm.json" >/dev/null
-    cmp "${dir}/SWEEP_fast_j1.json" "${dir}/SWEEP_fast_cold.json"
-    cmp "${dir}/SWEEP_fast_cold.json" "${dir}/SWEEP_fast_warm.json"
-    python3 scripts/validate_report.py --sweep \
-        "${dir}/SWEEP_fast_j1.json"
-    python3 scripts/validate_report.py --mode \
-        "${dir}/SWEEP_fast_j1.json" "${dir}/SWEEP_full.json"
-    python3 - "${dir}/SWEEP_full.json" "${dir}/SWEEP_fast_j1.json" <<'EOF'
-import json, sys
-full = json.load(open(sys.argv[1]))
-fast = json.load(open(sys.argv[2]))
-ft = next(t for t in full["tables"] if t["title"] == "sweep shards")
-st = next(t for t in fast["tables"] if t["title"] == "sweep shards")
-fc, sc = ft["columns"], st["columns"]
-assert "mode" not in fc and "mode" in sc, (fc, sc)
-arch = ["config", "workload", "smt", "seed", "status", "retries",
-        "cycles", "ipc"]
-f_rows = [[r[fc.index(a)] for a in arch] for r in ft["rows"]]
-s_rows = [[r[sc.index(a)] for a in arch] for r in st["rows"]]
-assert f_rows == s_rows, "fast_m1 diverged architecturally from full"
-assert all(r[sc.index("power_w")] == "-" for r in st["rows"])
-print(f"mode smoke: {len(s_rows)} fast_m1 shards architecturally "
-      "identical to full")
-EOF
-    "${build}/examples/p10fleet" --spec "${dir}/fast_sweep.json" \
-        --spawn 2 --out "${dir}/SWEEP_fast_fleet.json" \
-        > /dev/null 2> "${dir}/fleet.err"
-    cmp "${dir}/SWEEP_fast_j1.json" "${dir}/SWEEP_fast_fleet.json"
-    # Hostile mode values: rejected with a structured "mode" field
-    # error at the CLI flag and spec JSON layers (the wire protocol's
-    # rejection is pinned by test_service).
-    if "${build}/examples/p10sim_cli" --workload xz --instrs 1000 \
-        --mode turbo > /dev/null 2> "${dir}/bad_cli.err"; then
-        echo "mode smoke (${tag}): hostile --mode accepted" >&2
-        return 1
-    fi
-    grep -q 'field: mode' "${dir}/bad_cli.err"
-    sed 's/"fast_m1"/"warp9"/' "${dir}/fast_sweep.json" \
-        > "${dir}/bad_sweep.json"
-    if "${build}/examples/p10sweep_cli" \
-        --spec "${dir}/bad_sweep.json" --jobs 1 \
-        > /dev/null 2> "${dir}/bad_spec.err"; then
-        echo "mode smoke (${tag}): hostile spec mode accepted" >&2
-        return 1
-    fi
-    grep -q 'field: mode' "${dir}/bad_spec.err"
-    echo "mode smoke (${tag}): fast_m1 architecturally byte-identical"
-}
-
 run_flavour release full -DCMAKE_BUILD_TYPE=Release
 
 # No test of the full run may have rewritten a committed golden.
@@ -499,17 +384,9 @@ build-release/examples/p10sim_cli --workload perlbench \
     --instrs 20000 --warmup 5000 --sample-interval 512 \
     --trace-out "${smoke_dir}/trace.json" \
     --out "${smoke_dir}/CLI_p10sim.json" >/dev/null
-echo "--- smoke: p10sim_cli --mode fast_m1 --out"
-build-release/examples/p10sim_cli --workload perlbench \
-    --instrs 20000 --warmup 5000 --mode fast_m1 \
-    --out "${smoke_dir}/CLI_fast.json" >/dev/null
 python3 scripts/validate_report.py \
     "${smoke_dir}"/BENCH_*.json "${smoke_dir}"/CLI_*.json
 python3 scripts/validate_report.py --trace "${smoke_dir}/trace.json"
-# Fidelity-mode provenance: the fast report must carry meta.mode with
-# its power scalars absent; the full report must stay mode-free.
-python3 scripts/validate_report.py --mode \
-    "${smoke_dir}/CLI_fast.json" "${smoke_dir}/CLI_p10sim.json"
 
 # Sweep smoke: the merged report must be byte-identical at any --jobs
 # value (same build flavour — never compare across flavours, FP
@@ -568,7 +445,6 @@ daemon_smoke build-release release
 fleet_smoke build-release release
 trace_smoke build-release release
 chip_smoke build-release release
-mode_smoke build-release release
 
 # Bench baseline diff: the committed baseline is the bench_merge of
 # the fleet-throughput and core-MIPS reports, so CI merges the same
@@ -591,7 +467,6 @@ daemon_smoke build-asan-ubsan asan-ubsan
 fleet_smoke build-asan-ubsan asan-ubsan
 trace_smoke build-asan-ubsan asan-ubsan
 chip_smoke build-asan-ubsan asan-ubsan
-mode_smoke build-asan-ubsan asan-ubsan
 
 # The hostile-input surfaces (checkpoint/cache/trace deserializers,
 # spec parsing) must also hold under the sanitizers, and their fuzz
@@ -647,6 +522,5 @@ daemon_smoke build-tsan tsan
 fleet_smoke build-tsan tsan
 trace_smoke build-tsan tsan
 chip_smoke build-tsan tsan
-mode_smoke build-tsan tsan
 
 echo "=== CI green: release + asan-ubsan + tsan ==="

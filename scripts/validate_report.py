@@ -2,7 +2,7 @@
 """Validate p10ee machine-readable artifacts.
 
 Default mode checks "p10ee-report/1" reports (the BENCH_*.json /
---stats-json format documented in src/obs/report.h): exact top-level
+--out format documented in src/obs/report.h): exact top-level
 shape, the meta block, and the scalar/table/series sections. With
 --trace, files are checked as Chrome/Perfetto JSON traces instead
 (loadable JSON, a traceEvents array, counter and slice events well
@@ -47,13 +47,6 @@ workload, and every trace:* workload appearing in the "sweep shards"
 table present in it — so a merged report over trace containers always
 records which trace content produced it.
 
-With --mode, files get the default report checks plus fidelity-mode
-(api::SimMode) provenance coherence: an optional meta.mode key must
-name a valid mode, a fast_m1 single-run report must carry NO power
-scalars (absent, not zeroed), and a merged sweep report's "mode"
-column must hold valid cells with the power_w cell "-" on exactly the
-fast_m1 rows.
-
 Usage:
   validate_report.py report.json [more.json ...]
   validate_report.py --trace trace.json [more.json ...]
@@ -62,7 +55,6 @@ Usage:
   validate_report.py --trace-workload merged.json [more.json ...]
   validate_report.py --fleet stats.json [more.json ...]
   validate_report.py --metrics metrics.json [more.json ...]
-  validate_report.py --mode report.json [more.json ...]
 
 Exits non-zero naming every failing file; CI runs it over every
 artifact the bench smoke stage emits. Stdlib only.
@@ -73,9 +65,6 @@ import re
 import sys
 
 NUM = (int, float)
-
-# Fidelity modes (api::SimMode wire names).
-MODE_VALUES = {"full", "fast_m1"}
 
 # The wire shape of a TraceContext (src/obs/trace.h): 32 lowercase hex
 # chars, '-', 16 lowercase hex chars.
@@ -103,19 +92,11 @@ def validate_report(path, doc, errors):
         "tool": str, "config": str, "workload": str, "seed": int,
         "git": str, "wall_s": NUM, "sim_instrs": int, "host_mips": NUM,
     }
-    # "mode" is the one optional meta key: full-fidelity reports omit
-    # it entirely (historical byte-compatibility), fast_m1 reports
-    # carry it as provenance for the absent power scalars.
-    required = set(meta_types)
-    if (not isinstance(meta, dict)
-            or not required <= set(meta) <= required | {"mode"}):
+    if not isinstance(meta, dict) or set(meta) != set(meta_types):
         return _fail(errors, path, f"meta keys {sorted(meta)} wrong")
     for key, typ in meta_types.items():
         if not isinstance(meta[key], typ) or isinstance(meta[key], bool):
             _fail(errors, path, f"meta.{key} has wrong type")
-    if "mode" in meta and meta["mode"] not in MODE_VALUES:
-        _fail(errors, path,
-              f"meta.mode '{meta['mode']}' not in {sorted(MODE_VALUES)}")
     if not meta.get("tool"):
         _fail(errors, path, "meta.tool is empty")
     if isinstance(meta.get("wall_s"), NUM) and meta["wall_s"] < 0:
@@ -190,9 +171,6 @@ def validate_report(path, doc, errors):
 
 SWEEP_COLUMNS = ["shard", "config", "workload", "smt", "seed",
                  "status", "retries", "cycles", "ipc", "power_w"]
-# Sweeps that ran any FastM1 shard carry a "mode" column between seed
-# and status; Full-only sweeps keep the historical column set exactly.
-SWEEP_COLUMNS_MODE = SWEEP_COLUMNS[:5] + ["mode"] + SWEEP_COLUMNS[5:]
 SWEEP_STATUSES = {"ok", "invalid_argument", "invalid_config",
                   "not_found", "timeout", "transient", "overloaded",
                   "cancelled", "internal"}
@@ -215,12 +193,10 @@ def validate_sweep(path, doc, errors):
                   if t["title"] == "sweep shards"), None)
     if table is None:
         return _fail(errors, path, "no 'sweep shards' table")
-    if table["columns"] not in (SWEEP_COLUMNS, SWEEP_COLUMNS_MODE):
+    if table["columns"] != SWEEP_COLUMNS:
         return _fail(errors, path,
                      f"'sweep shards' columns {table['columns']} != "
-                     f"{SWEEP_COLUMNS} (optionally with 'mode' after "
-                     f"'seed')")
-    columns = table["columns"]
+                     f"{SWEEP_COLUMNS}")
 
     rows = table["rows"]
     if scalars.get("sweep.shards") != len(rows):
@@ -232,7 +208,7 @@ def validate_sweep(path, doc, errors):
         _fail(errors, path, "duplicate shard ids in 'sweep shards'")
     ok_rows = 0
     for j, row in enumerate(rows):
-        status = row[columns.index("status")]
+        status = row[SWEEP_COLUMNS.index("status")]
         if status not in SWEEP_STATUSES:
             _fail(errors, path,
                   f"'sweep shards' rows[{j}] bad status '{status}'")
@@ -561,59 +537,12 @@ def validate_metrics(path, doc, errors):
             _fail(errors, path, f"metric '{name}' is negative")
 
 
-def validate_mode(path, doc, errors):
-    """Fidelity-mode provenance (--mode): the default report checks
-    plus SimMode coherence. A single-run report either omits meta.mode
-    (full fidelity — power scalars allowed) or carries
-    meta.mode == "fast_m1" with every power scalar absent, not zeroed.
-    A merged sweep report with a "mode" column must hold valid mode
-    cells, with the power_w cell "-" on exactly the fast_m1 rows."""
-    before = len(errors)
-    validate_report(path, doc, errors)
-    if len(errors) != before:
-        return
-
-    meta = doc["meta"]
-    scalars = doc["scalars"]
-    power_scalars = sorted(
-        n for n in scalars
-        if n in ("power_w", "clock_w", "switch_w", "leak_w",
-                 "ipc_per_w") or n.startswith("power."))
-    if meta.get("mode") == "fast_m1" and power_scalars:
-        _fail(errors, path,
-              f"meta.mode is fast_m1 but power scalars "
-              f"{power_scalars} are present — fast-mode power must be "
-              f"absent, not zeroed")
-
-    table = next((t for t in doc["tables"]
-                  if t["title"] == "sweep shards"), None)
-    if table is None or "mode" not in table["columns"]:
-        return
-    columns = table["columns"]
-    i_mode = columns.index("mode")
-    i_power = columns.index("power_w")
-    i_status = columns.index("status")
-    for j, row in enumerate(table["rows"]):
-        cell = row[i_mode]
-        if cell not in MODE_VALUES:
-            _fail(errors, path,
-                  f"'sweep shards' rows[{j}] mode '{cell}' not in "
-                  f"{sorted(MODE_VALUES)}")
-        elif row[i_status] == "ok":
-            is_dash = row[i_power] == "-"
-            if (cell == "fast_m1") != is_dash:
-                _fail(errors, path,
-                      f"'sweep shards' rows[{j}] mode '{cell}' with "
-                      f"power_w '{row[i_power]}' — fast_m1 rows must "
-                      f"render power as '-', full rows as a number")
-
-
 def main(argv):
     args = argv[1:]
     mode = "report"
     if args and args[0] in ("--trace", "--sweep", "--chip",
                             "--trace-workload", "--fleet",
-                            "--metrics", "--mode"):
+                            "--metrics"):
         mode = args[0][2:]
         args = args[1:]
     if not args:
@@ -628,7 +557,6 @@ def main(argv):
         "trace-workload": validate_trace_workload,
         "fleet": validate_fleet,
         "metrics": validate_metrics,
-        "mode": validate_mode,
     }
     errors = []
     for path in args:

@@ -1,7 +1,6 @@
 #include "api/args.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -37,6 +36,9 @@ ArgParser&
 ArgParser::str(const std::string& name, std::string* out,
                const std::string& metavar, const std::string& help)
 {
+    // help() adds the brackets; a bracketed metavar would print twice.
+    P10_ASSERT(metavar.find_first_of("<>") == std::string::npos,
+               "ArgParser::str: pass a bare metavar (no '<' or '>')");
     Flag f;
     f.name = name;
     f.kind = Kind::Str;
@@ -94,47 +96,12 @@ ArgParser::boolean(const std::string& name, bool* out,
     return *this;
 }
 
-ArgParser&
-ArgParser::alias(const std::string& alias, const std::string& canonical)
-{
-    Flag* f = find(canonical);
-    P10_ASSERT(f != nullptr,
-               "ArgParser::alias on an unregistered canonical flag");
-    f->aliases.push_back(alias);
-    return *this;
-}
-
-ArgParser&
-ArgParser::deprecatedAlias(const std::string& alias,
-                           const std::string& canonical)
-{
-    Flag* f = find(canonical);
-    P10_ASSERT(f != nullptr,
-               "ArgParser::deprecatedAlias on an unregistered "
-               "canonical flag");
-    f->deprecatedAliases.push_back(alias);
-    return *this;
-}
-
 ArgParser::Flag*
-ArgParser::find(const std::string& name, bool* deprecated)
+ArgParser::find(const std::string& name)
 {
-    if (deprecated != nullptr)
-        *deprecated = false;
-    for (Flag& f : flags_) {
+    for (Flag& f : flags_)
         if (f.name == name)
             return &f;
-        for (const std::string& a : f.aliases)
-            if (a == name)
-                return &f;
-        for (const std::string& a : f.deprecatedAliases) {
-            if (a == name) {
-                if (deprecated != nullptr)
-                    *deprecated = true;
-                return &f;
-            }
-        }
-    }
     return nullptr;
 }
 
@@ -151,15 +118,10 @@ ArgParser::parse(int argc, char** argv)
         if (arg.rfind("--", 0) != 0)
             return Error::invalidArgument(
                 "unexpected positional argument '" + arg + "'");
-        bool deprecated = false;
-        Flag* f = find(arg, &deprecated);
+        Flag* f = find(arg);
         if (f == nullptr)
             return Error::invalidArgument("unknown option '" + arg +
                                           "' (see --help)");
-        if (deprecated)
-            std::fprintf(stderr,
-                         "%s: warning: '%s' is deprecated, use '%s'\n",
-                         tool_.c_str(), arg.c_str(), f->name.c_str());
         if (f->kind == Kind::Bool) {
             *f->boolOut = true;
             continue;
@@ -225,20 +187,7 @@ ArgParser::help() const
             left.resize(26, ' ');
         else
             left += " ";
-        os << left << f.help;
-        if (!f.aliases.empty()) {
-            os << " (alias:";
-            for (const std::string& a : f.aliases)
-                os << " " << a;
-            os << ")";
-        }
-        if (!f.deprecatedAliases.empty()) {
-            os << " (deprecated:";
-            for (const std::string& a : f.deprecatedAliases)
-                os << " " << a;
-            os << ")";
-        }
-        os << "\n";
+        os << left << f.help << "\n";
     }
     os << "  --help                  show this help and exit\n";
     return os.str();
@@ -251,14 +200,6 @@ out(ArgParser& p, std::string* v)
 {
     p.str("--out", v, "path",
           "write the machine-readable p10ee-report/1 JSON");
-    p.deprecatedAlias("--stats-json", "--out");
-}
-
-void
-mode(ArgParser& p, std::string* v)
-{
-    p.str("--mode", v, "mode",
-          "simulation fidelity: full (default) or fast_m1");
 }
 
 void

@@ -3,11 +3,10 @@
  * Declarative CLI flag parsing shared by every front end.
  *
  * Before this existed, `p10sim_cli`, `p10sweep_cli` and the 19 bench
- * binaries each hand-rolled an argv loop — with drifting spellings
- * (`--json` vs `--out` vs `--stats-json` for the same report output)
- * and hand-maintained usage strings. ArgParser is the one flag table:
- * a tool registers typed flags (string / bounded integer / boolean),
- * optionally with aliases for the legacy spellings, and gets
+ * binaries each hand-rolled an argv loop — with drifting spellings for
+ * the same report output and hand-maintained usage strings. ArgParser
+ * is the one flag table: a tool registers typed flags (string / bounded
+ * integer / boolean), each under exactly one spelling, and gets
  *
  *  - strict parsing into caller-owned variables, every malformed or
  *    unknown flag a structured `common::Error` (the CLIs translate
@@ -39,7 +38,8 @@ class ArgParser
         description shown at the top of --help. */
     ArgParser(std::string tool, std::string summary);
 
-    /** String-valued flag; @p metavar names the value in help. */
+    /** String-valued flag; @p metavar names the value in help, bare
+        (help() adds the brackets; a '<' or '>' in it asserts). */
     ArgParser& str(const std::string& name, std::string* out,
                    const std::string& metavar, const std::string& help);
 
@@ -57,20 +57,6 @@ class ArgParser
     /** Value-less boolean flag (present = true). */
     ArgParser& boolean(const std::string& name, bool* out,
                        const std::string& help);
-
-    /** Accept @p alias as another spelling of @p canonical (which must
-        already be registered). Aliases parse identically and are
-        listed on the canonical flag's help line. */
-    ArgParser& alias(const std::string& alias,
-                     const std::string& canonical);
-
-    /** Like alias(), but using the spelling prints a one-line
-        deprecation warning to stderr naming the canonical flag, and
-        --help lists it under "deprecated:" instead of "alias:". The
-        flag still parses identically — scripts keep working while the
-        warning steers them to the canonical spelling. */
-    ArgParser& deprecatedAlias(const std::string& alias,
-                               const std::string& canonical);
 
     /**
      * Parse @p argv. Returns a structured error for unknown flags,
@@ -98,8 +84,6 @@ class ArgParser
         Kind kind = Kind::Str;
         std::string metavar;
         std::string help;
-        std::vector<std::string> aliases;
-        std::vector<std::string> deprecatedAliases;
 
         std::string* strOut = nullptr;
         uint64_t* u64Out = nullptr;
@@ -112,9 +96,8 @@ class ArgParser
         bool* boolOut = nullptr;
     };
 
-    /** Match @p name against canonical names and both alias kinds;
-        when non-null, @p deprecated reports which kind matched. */
-    Flag* find(const std::string& name, bool* deprecated = nullptr);
+    /** The registered flag spelled @p name, or nullptr. */
+    Flag* find(const std::string& name);
 
     std::string tool_;
     std::string summary_;
@@ -125,21 +108,12 @@ class ArgParser
 /**
  * Canonical cross-tool flags: every front end that supports the
  * concept registers it through these, so the spelling, bounds and help
- * text are identical everywhere. The legacy `--stats-json` spelling
- * stays accepted as a deprecation-warned alias of `--out`; the old
- * `--json` third spelling is gone — one canonical name, one warned
- * stepping stone, nothing else.
+ * text are identical everywhere.
  */
 namespace stdflags {
 
-/** --out <path> (deprecated alias: --stats-json). */
+/** --out <path>. */
 void out(ArgParser& p, std::string* v);
-
-/** --mode <full|fast_m1> simulation fidelity (see api::SimMode). The
-    flag is registered as a plain string; front ends convert with
-    api::parseSimMode so a hostile value is an exit-2 structured error
-    naming the "mode" field, identical to the wire-protocol path. */
-void mode(ArgParser& p, std::string* v);
 
 /** --jobs <n> in [1,256]. */
 void jobs(ArgParser& p, int* v);

@@ -171,15 +171,6 @@ RunRequest::validate() const
     if (!ckptSave.empty() && !ckptLoad.empty())
         bad("ckpt-save", "ckpt-save and ckpt-load are mutually "
                          "exclusive");
-    if (mode == SimMode::FastM1) {
-        if (cores >= 2)
-            bad("mode", "mode fast_m1 requires cores == 1 (the chip "
-                        "governor consumes power evaluations)");
-        if (recorder != nullptr || collectTimings ||
-            sampleInterval != 0)
-            bad("mode", "mode fast_m1 skips telemetry (recorder, "
-                        "timings, sample_interval unavailable)");
-    }
     if (!problems.empty())
         return Error{common::ErrorCode::InvalidArgument,
                      "run request: " + problems, firstField};
@@ -240,7 +231,6 @@ Service::runOne(const RunRequest& req) const
     out.config = cfg;
     out.profile = profile;
 
-    const bool fast = req.mode == SimMode::FastM1;
     core::CoreModel model(cfg);
     core::RunOptions opts;
     opts.warmupInstrs = req.warmup * static_cast<uint64_t>(req.smt);
@@ -248,7 +238,6 @@ Service::runOne(const RunRequest& req) const
     opts.maxCycles = req.maxCycles;
     opts.recorder = req.recorder;
     opts.collectTimings = req.collectTimings;
-    opts.fastM1 = fast;
 
     if (!req.ckptLoad.empty()) {
         Expected<ckpt::Checkpoint> ckOr =
@@ -267,12 +256,12 @@ Service::runOne(const RunRequest& req) const
                 std::to_string(ck.meta().seed) + ", not '" +
                 req.workload + "' seed " +
                 std::to_string(profile.seed));
-        model.beginRun(threads, /*infiniteL2=*/false, fast);
+        model.beginRun(threads);
         if (Status st = ck.restore(model, walkers); !st)
             return st.error();
         out.warmupSimulated = 0;
     } else {
-        model.beginRun(threads, /*infiniteL2=*/false, fast);
+        model.beginRun(threads);
         model.advance(opts.warmupInstrs);
         out.warmupSimulated = opts.warmupInstrs;
         if (!req.ckptSave.empty()) {
@@ -292,12 +281,8 @@ Service::runOne(const RunRequest& req) const
         return Error::timeout(
             "run exceeded cycle budget of " +
             std::to_string(req.maxCycles) + " cycles");
-    // FastM1 has no switching counters to evaluate — power stays the
-    // zero breakdown and is rendered absent, not zero, in reports.
-    if (!fast) {
-        power::EnergyModel energy(cfg);
-        out.power = energy.evalCounters(out.run);
-    }
+    power::EnergyModel energy(cfg);
+    out.power = energy.evalCounters(out.run);
     return out;
 }
 
@@ -425,22 +410,13 @@ Service::runReport(const RunRequest& req, const RunOutcome& outcome)
                      static_cast<double>(outcome.run.cycles));
     report.addScalar("instrs",
                      static_cast<double>(outcome.run.instrs));
-    // FastM1 carries no power model at all: the power/efficiency
-    // scalars are absent (never zeroed) and the meta block records the
-    // mode, so downstream consumers can tell "skipped by mode" from
-    // "missing by bug". Full-mode reports keep their exact historical
-    // bytes (no mode key).
-    if (req.mode == SimMode::FastM1) {
-        report.meta().mode = simModeName(req.mode);
-    } else {
-        report.addScalar("power_w", outcome.powerW());
-        report.addScalar("clock_w", outcome.power.clockPj * 0.004);
-        report.addScalar("switch_w", outcome.power.switchPj * 0.004);
-        report.addScalar("leak_w", outcome.power.leakPj * 0.004);
-        report.addScalar("ipc_per_w", outcome.ipcPerW());
-        for (const auto& [comp, pj] : outcome.power.perComponent)
-            report.addScalar("power.pj_per_cycle." + comp, pj);
-    }
+    report.addScalar("power_w", outcome.powerW());
+    report.addScalar("clock_w", outcome.power.clockPj * 0.004);
+    report.addScalar("switch_w", outcome.power.switchPj * 0.004);
+    report.addScalar("leak_w", outcome.power.leakPj * 0.004);
+    report.addScalar("ipc_per_w", outcome.ipcPerW());
+    for (const auto& [comp, pj] : outcome.power.perComponent)
+        report.addScalar("power.pj_per_cycle." + comp, pj);
     // Chip-scope extras, gated so 1-core reports keep their exact
     // pre-chip bytes (the bare-core identity contract).
     if (outcome.cores >= 2) {

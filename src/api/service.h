@@ -74,14 +74,6 @@ struct RunRequest
     uint64_t maxCycles = 0; ///< cycle budget; 0 = unbounded
     uint64_t sampleInterval = 0;
 
-    /**
-     * Fidelity mode (see SimMode). FastM1 requires cores == 1 and is
-     * incompatible with telemetry (recorder / collectTimings /
-     * sampleInterval) — those are exactly the paths it skips; asking
-     * for both is a validation error, never a silent no-op.
-     */
-    SimMode mode = SimMode::Full;
-
     // Library-only extras (never on the wire).
     obs::TimeSeriesRecorder* recorder = nullptr; ///< optional telemetry
     bool collectTimings = false;

@@ -33,56 +33,6 @@
 namespace p10ee::api {
 
 /**
- * Simulation fidelity mode — the paper's own M1-vs-RTL layering as a
- * first-class API axis.
- *
- *  - Full: every instrumentation path active; reports carry power,
- *    efficiency and telemetry alongside the architectural results.
- *  - FastM1: the per-cycle power-proxy instrumentation (sw.* switching
- *    counters) and telemetry are skipped, so no power/efficiency can
- *    be evaluated — but every architectural result (cycles, IPC,
- *    commit counts, branch/cache stats, checkpoints) is byte-identical
- *    to Full mode. Skipped metrics are absent from reports, not
- *    zeroed. Restricted to 1-core shards: the multi-core chip
- *    governor consumes per-epoch power evaluations as timing input.
- *
- * Mode is part of shard-cache identity (a FastM1 result has no power
- * fields to replay into a Full request) but NOT of checkpoint
- * identity: warmup checkpoints are mode-independent and restore
- * interchangeably across modes (see ckpt::kStateSchemaVersion v2).
- */
-enum class SimMode : uint8_t {
-    Full = 0,
-    FastM1 = 1,
-};
-
-/** Stable wire/CLI spelling of @p mode ("full" / "fast_m1"). */
-inline const char*
-simModeName(SimMode mode)
-{
-    return mode == SimMode::FastM1 ? "fast_m1" : "full";
-}
-
-/**
- * Parse the wire/CLI spelling of a mode. Strict: anything but the two
- * canonical names (including case variants) is InvalidArgument, so
- * hostile or typo'd mode strings are rejected at every boundary layer
- * with the same message shape.
- */
-inline common::Expected<SimMode>
-parseSimMode(const std::string& s)
-{
-    if (s == "full")
-        return SimMode::Full;
-    if (s == "fast_m1")
-        return SimMode::FastM1;
-    return common::Error{common::ErrorCode::InvalidArgument,
-                         "unknown simulation mode \"" + s +
-                             "\" (expected \"full\" or \"fast_m1\")",
-                         "mode"};
-}
-
-/**
  * One core's slice of a multi-core chip shard (src/chip). Rows exist
  * only for shards with cores >= 2; 1-core shards keep the exact
  * historical ShardResult shape (the bare-core identity contract).
@@ -154,14 +104,6 @@ struct ShardResult
     double chipBoost = 0.0;   ///< final WOF boost
     uint64_t throttledEpochs = 0;
     uint64_t droopTrips = 0;
-
-    /**
-     * The fidelity mode this shard was simulated under. FastM1 shards
-     * carry no power/efficiency results (powerW/ipcPerW stay 0 and are
-     * rendered absent); persisted by the shard cache so a cached
-     * result replays with its provenance intact.
-     */
-    SimMode mode = SimMode::Full;
 };
 
 /**

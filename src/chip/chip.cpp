@@ -89,11 +89,6 @@ ChipConfig::validate() const
     if (epochInstrs == 0)
         return Error::invalidConfig(
             "chip: epoch length must be > 0 instructions");
-    if (fastM1 && cores.size() >= 2)
-        return Error{common::ErrorCode::InvalidConfig,
-                     "chip: fast_m1 mode requires 1 core (the chip "
-                     "governor consumes power evaluations)",
-                     "mode"};
     if (auto st = contention.validate(cores.size()); !st.ok())
         return st;
     return governor.validate();
@@ -137,8 +132,7 @@ ChipModel::beginRun(
     P10_ASSERT(perCoreThreads.size() == cores_.size(),
                "beginRun: one source vector per core required");
     for (size_t i = 0; i < cores_.size(); ++i)
-        cores_[i]->beginRun(perCoreThreads[i], /*infiniteL2=*/false,
-                            cfg_.fastM1);
+        cores_[i]->beginRun(perCoreThreads[i]);
     // Fresh run: the shared layer and governor restart from their
     // constructed state, like every per-core structure does.
     contention_ = ContentionLayer(cfg_.contention, cores_.size());
@@ -175,10 +169,7 @@ ChipModel::measure(const ChipRunOptions& opts)
         co.stallCycles = 0;
         co.effCycles = run.cycles;
         co.ipc = run.ipc();
-        // FastM1 has no switching counters: power stays 0 and is
-        // rendered absent by every downstream report.
-        co.powerW =
-            cfg_.fastM1 ? 0.0 : energy_[0].evalCounters(run).watts();
+        co.powerW = energy_[0].evalCounters(run).watts();
         co.freqGhz = co.fMaxGhz = governor_.coreFMaxGhz()[0];
         out.chipCycles = run.cycles;
         out.instrs = run.instrs;

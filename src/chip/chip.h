@@ -64,16 +64,6 @@ struct ChipConfig
     /** Chip seed: keys the governor's per-core yield streams. */
     uint64_t seed = 1;
 
-    /**
-     * M1 fast mode (api::SimMode::FastM1): skip the power-proxy
-     * instrumentation. Valid only for 1-core chips — the multi-core
-     * governor consumes per-epoch power evaluations as timing input,
-     * so a fast multi-core chip could not be byte-identical.
-     * Deliberately NOT part of chipConfigHash: architectural state is
-     * mode-independent, so checkpoints restore across modes.
-     */
-    bool fastM1 = false;
-
     common::Status validate() const;
 };
 

@@ -53,8 +53,7 @@ inline constexpr uint32_t kFormatVersion = 1;
  * v2: pipeline queues serialize via FifoRing (occupancy validated
  * against config-derived capacity on load), the vestigial per-thread
  * LMQ copy is gone, and sw.* switching counters are filtered from the
- * stat snapshot so checkpoints are mode-independent — a FastM1 warmup
- * checkpoint is byte-identical to a Full-mode one.
+ * stat snapshot (they never feed forward into timing).
  */
 inline constexpr uint32_t kStateSchemaVersion = 2;
 

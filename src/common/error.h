@@ -64,7 +64,7 @@ struct Error
 
     /**
      * Structured origin of a validation failure: the request/spec key
-     * that failed (e.g. "smt", "mode"), empty when the error is not
+     * that failed (e.g. "smt", "cores"), empty when the error is not
      * tied to one field. Surfaced verbatim on the NDJSON `error` line
      * and in CLI exit-2 messages; diagnostic only — equality and
      * on-disk cache serialization ignore it.

@@ -561,8 +561,7 @@ CoreModel::processInstr(int t, const TraceInstr& in)
             }
         }
         ts.ldq.pushBack(complete);
-        if (swScale_ != 0)
-            stats_.add(ids_.swLs, toggleWeight(in.toggle));
+        stats_.add(ids_.swLs, toggleWeight(in.toggle));
     } else if (isa::isStore(in.op)) {
         stats_.add(ids_.lsuSt);
         complete = issue + 1; // AGEN; data drains post-commit
@@ -583,12 +582,10 @@ CoreModel::processInstr(int t, const TraceInstr& in)
             }
         }
         ts.lastStoreLine = line;
-        if (swScale_ != 0)
-            stats_.add(ids_.swLs, toggleWeight(in.toggle));
+        stats_.add(ids_.swLs, toggleWeight(in.toggle));
     } else if (in.op == OpClass::MmaGer) {
         stats_.add(ids_.mmaGer);
-        if (swScale_ != 0)
-            stats_.add(ids_.swMma, toggleWeight(in.toggle));
+        stats_.add(ids_.swMma, toggleWeight(in.toggle));
         if (in.dest >= reg::kAccBase)
             ts.accChain[in.dest - reg::kAccBase] =
                 issue + static_cast<uint64_t>(cfg_.mmaAccLat);
@@ -596,19 +593,15 @@ CoreModel::processInstr(int t, const TraceInstr& in)
         stats_.add(ids_.mmaMove);
     } else if (in.op == OpClass::VsuFp) {
         stats_.add(ids_.vsuFp);
-        if (swScale_ != 0)
-            stats_.add(ids_.swVsu, toggleWeight(in.toggle));
+        stats_.add(ids_.swVsu, toggleWeight(in.toggle));
     } else if (in.op == OpClass::VsuInt) {
         stats_.add(ids_.vsuInt);
-        if (swScale_ != 0)
-            stats_.add(ids_.swVsu, toggleWeight(in.toggle));
+        stats_.add(ids_.swVsu, toggleWeight(in.toggle));
     } else if (in.op == OpClass::FpScalar) {
         stats_.add(ids_.fpScalar);
-        if (swScale_ != 0)
-            stats_.add(ids_.swFp, toggleWeight(in.toggle));
+        stats_.add(ids_.swFp, toggleWeight(in.toggle));
     } else {
-        if (swScale_ != 0)
-            stats_.add(ids_.swAlu, toggleWeight(in.toggle));
+        stats_.add(ids_.swAlu, toggleWeight(in.toggle));
     }
 
     if (isa::isBranch(in.op))
@@ -696,14 +689,13 @@ CoreModel::maybeSample(uint64_t /*i*/)
 
 void
 CoreModel::beginRun(const std::vector<workloads::InstrSource*>& sources,
-                    bool infiniteL2, bool fastM1)
+                    bool infiniteL2)
 {
     P10_ASSERT(!sources.empty(), "no instruction sources");
     numThreads_ = static_cast<int>(sources.size());
     collectTimings_ = false;
     measuring_ = false;
     infiniteL2_ = infiniteL2;
-    swScale_ = fastM1 ? 0 : 1;
 
     // Queue capacities are a pure function of (config, SMT level), so
     // they are resolved once here instead of on every instruction.
@@ -781,7 +773,7 @@ RunResult
 CoreModel::run(const std::vector<workloads::InstrSource*>& sources,
                const RunOptions& opts)
 {
-    beginRun(sources, opts.infiniteL2, opts.fastM1);
+    beginRun(sources, opts.infiniteL2);
     advance(opts.warmupInstrs);
     return measure(opts);
 }
@@ -1010,13 +1002,10 @@ CoreModel::saveState(common::BinWriter& w) const
     w.u32(static_cast<uint32_t>(numThreads_));
 
     // The sw.* switching-activity counters are excluded from the
-    // snapshot in BOTH modes (state-schema v2): they never feed
-    // forward into timing, and filtering them makes a FastM1 warmup
-    // checkpoint byte-identical to a Full-mode one, so checkpoints are
-    // interchangeable across modes. Full-mode measurement deltas are
-    // unchanged — delta() treats absent-in-base as zero, so a restored
-    // Full run re-accumulates the measured window's switching activity
-    // exactly as a cold run's delta reports it.
+    // snapshot (state-schema v2): they never feed forward into timing.
+    // Measurement deltas are unchanged — delta() treats absent-in-base
+    // as zero, so a restored run re-accumulates the measured window's
+    // switching activity exactly as a cold run's delta reports it.
     common::StatSnapshot snap = stats_.snapshot();
     uint64_t kept = 0;
     for (const auto& [name, value] : snap)

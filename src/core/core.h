@@ -51,17 +51,6 @@ struct RunOptions
     bool infiniteL2 = false;        ///< APEX "core model" mode (Fig. 10)
 
     /**
-     * M1 fast mode (run() convenience only; the split-phase API takes
-     * it on beginRun, where the mode is fixed for the whole run): skip
-     * the per-cycle power-proxy instrumentation (the sw.* switching
-     * counters) so no power can be evaluated, while every architectural
-     * result — timing, commit counts, branch/cache stats, checkpoints —
-     * stays byte-identical to full mode. The skipped counters are
-     * absent from RunResult::stats, not zeroed.
-     */
-    bool fastM1 = false;
-
-    /**
      * Cycle budget for the measurement window; 0 = unbounded. A run
      * whose commit front passes the budget stops early with
      * RunResult::timedOut set — the fault-injection campaign's
@@ -113,11 +102,9 @@ class CoreModel
     // between advance() and measure() lets later runs skip the warmup:
     // restore + measure() is bit-identical to advance + measure().
 
-    /** Bind one instruction source per SMT thread and reset run state.
-        @p fastM1 selects M1 fast mode for the whole run (see
-        RunOptions::fastM1). */
+    /** Bind one instruction source per SMT thread and reset run state. */
     void beginRun(const std::vector<workloads::InstrSource*>& threads,
-                  bool infiniteL2 = false, bool fastM1 = false);
+                  bool infiniteL2 = false);
 
     /** Step @p instrs instructions outside any measurement window. */
     void advance(uint64_t instrs);
@@ -224,12 +211,6 @@ class CoreModel
     uint64_t measureBaseCycle_ = 0;
     bool collectTimings_ = false;
     bool infiniteL2_ = false;
-
-    /** M1 fast mode: 0 in fast mode, 1 in full. The sw.* switching
-        counters accumulate toggleWeight * swScale_, so the fast path is
-        branch-free and the counters stay at zero (absent from
-        snapshots) when fast. Fixed by beginRun for the whole run. */
-    uint64_t swScale_ = 1;
 
     // Per-run queue capacities (fixed by beginRun; the per-thread
     // partitions depend on the SMT level).

@@ -812,34 +812,12 @@ FleetRunner::run()
         }
     }
 
-    // Index-ordered fold, identical to SweepRunner::run()'s: the
-    // aggregates come out the same no matter which worker (or the
-    // local fallback) produced each shard.
+    // SweepRunner's index-ordered fold: the aggregates come out the
+    // same no matter which worker (or the local fallback) produced
+    // each shard.
     const uint64_t mergeBegin = traceNowUs();
-    sweep::SweepResult result;
-    result.shards = std::move(results_);
-    for (const api::ShardResult& s : result.shards) {
-        result.retriesTotal += static_cast<uint64_t>(s.retries);
-        if (s.fromCache)
-            ++result.cachedShards;
-        else
-            ++result.simulatedShards;
-        if (s.error.code == common::ErrorCode::Cancelled)
-            ++result.cancelledShards;
-        if (s.ok) {
-            ++result.okCount;
-            // Same accounting as SweepRunner::run's fold: warmup is
-            // simulated once per (core, SMT thread).
-            result.simInstrs +=
-                s.instrs +
-                spec_.warmup *
-                    static_cast<uint64_t>(shards_[s.index].smt) *
-                    static_cast<uint64_t>(
-                        std::max(shards_[s.index].cores, 1));
-        } else {
-            ++result.failed;
-        }
-    }
+    sweep::SweepResult result =
+        sweep::SweepRunner::fold(spec_, shards_, std::move(results_));
     if (tracing) {
         // Every worker thread has joined by now, so reading their
         // recorders is race-free; the merge itself is the last

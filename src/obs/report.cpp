@@ -84,8 +84,6 @@ JsonReport::toJson() const
     w.key("wall_s").value(meta_.wallSeconds);
     w.key("sim_instrs").value(meta_.simInstrs);
     w.key("host_mips").value(meta_.hostMips);
-    if (!meta_.mode.empty())
-        w.key("mode").value(meta_.mode);
     w.endObject();
 
     w.key("scalars").beginObject();

@@ -52,14 +52,6 @@ struct ReportMeta
     double wallSeconds = 0.0;    ///< host wall-clock of the run
     uint64_t simInstrs = 0;      ///< simulated instructions accounted
     double hostMips = 0.0;       ///< simInstrs / wallSeconds / 1e6
-
-    /**
-     * Simulation-fidelity provenance ("fast_m1"). Serialized only when
-     * non-empty, so Full-mode reports keep their exact historical
-     * bytes; FastM1 reports always carry it (the power scalars they
-     * omit are absent-by-mode, not missing-by-bug).
-     */
-    std::string mode;
 };
 
 /** `git describe --always --dirty`, cached; "unknown" off-repo. */

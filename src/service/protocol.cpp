@@ -57,18 +57,6 @@ parseRunPayload(const obs::JsonValue& root, api::RunRequest* out)
                 return Error::invalidArgument("run field '" + key +
                                               "' must be a string");
             (key == "config" ? out->config : out->workload) = v.string;
-        } else if (key == "mode") {
-            // Strict: only the canonical mode names cross the wire; a
-            // hostile or typo'd value is rejected here, before any
-            // simulation state exists.
-            if (!v.isString())
-                return Error{common::ErrorCode::InvalidArgument,
-                             "run field 'mode' must be a string",
-                             "mode"};
-            Expected<api::SimMode> m = api::parseSimMode(v.string);
-            if (!m)
-                return m.error();
-            out->mode = m.value();
         } else if (key == "smt" || key == "cores" || key == "instrs" ||
                    key == "warmup" || key == "seed" ||
                    key == "sample_interval") {

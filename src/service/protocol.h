@@ -8,7 +8,7 @@
  *   {"type":"sweep","id":"r1","spec":{...sweep spec...},
  *    "priority":0,"timeout_cycles":0}
  *   {"type":"run","id":"r2","config":"power10","workload":"xz",
- *    "smt":4,"instrs":20000,"warmup":5000,"seed":0,"mode":"full"}
+ *    "smt":4,"instrs":20000,"warmup":5000,"seed":0}
  *   {"type":"stats","id":"r3"}
  *   {"type":"metrics","id":"r3"}
  *   {"type":"cancel","id":"r4","target":"r1"}

@@ -65,10 +65,6 @@ serializeResult(BinWriter& w, const ShardResult& s)
     w.f64(s.chipBoost);
     w.u64(s.throttledEpochs);
     w.u64(s.droopTrips);
-    // Fidelity-mode provenance (format version 5): a cached FastM1
-    // result must replay as FastM1 so merged reports render its power
-    // column as absent.
-    w.u8(static_cast<uint8_t>(s.mode));
 }
 
 std::optional<ShardResult>
@@ -120,10 +116,6 @@ deserializeResult(BinReader& r)
     s.chipBoost = r.f64();
     s.throttledEpochs = r.u64();
     s.droopTrips = r.u64();
-    uint8_t mode = r.u8();
-    if (mode > static_cast<uint8_t>(api::SimMode::FastM1))
-        return std::nullopt;
-    s.mode = static_cast<api::SimMode>(mode);
     if (r.failed())
         return std::nullopt;
     return s;
@@ -188,7 +180,6 @@ ShardCache::canonicalKeyJson(const SweepSpec& spec, const ShardSpec& shard)
     w.key("profile_seed").value(shard.profile.seed);
     w.key("smt").value(shard.smt);
     w.key("cores").value(shard.cores);
-    w.key("mode").value(std::string(api::simModeName(shard.mode)));
     w.key("seed_index").value(shard.seedIndex);
     w.key("instrs").value(spec.instrs);
     w.key("warmup").value(spec.warmup);

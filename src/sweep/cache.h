@@ -49,11 +49,11 @@ namespace p10ee::sweep {
     traceHash) between ipcPerW and the telemetry series. v4:
     ShardResult gained the chip-scope block (cores, per-core rows,
     governor rollup) after the telemetry series, and the canonical key
-    gained the "cores" axis. v5: ShardResult gained fidelity-mode
-    provenance (a trailing mode byte) and the canonical key gained the
-    "mode" axis — a FastM1 result is a different artifact from a Full
-    one (no power fields), so mode is part of cache identity. */
-inline constexpr uint32_t kCacheFormatVersion = 5;
+    gained the "cores" axis. v5: ShardResult gained a trailing
+    fidelity-mode byte (full / fast_m1) and the canonical key gained a
+    "mode" axis. v6: the fast_m1 mode is gone, and with it the mode
+    byte and key field — v5 entries are misses, never misread. */
+inline constexpr uint32_t kCacheFormatVersion = 6;
 
 /** One cache directory; cheap to construct, stateless, thread-safe. */
 class ShardCache

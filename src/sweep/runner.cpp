@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "chip/chip.h"
+#include "common/assert.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/core.h"
@@ -45,11 +46,8 @@ SweepResult::meanPowerW() const
 {
     double sum = 0.0;
     uint64_t n = 0;
-    // FastM1 shards carry no power result at all; averaging their
-    // zeros in would silently dilute the mean, so only Full shards
-    // contribute.
     for (const ShardResult& s : shards)
-        if (s.ok && s.mode == api::SimMode::Full) {
+        if (s.ok) {
             sum += s.powerW;
             ++n;
         }
@@ -78,8 +76,6 @@ SweepRunner::runShard(const ShardSpec& shard) const
     res.index = shard.index;
     res.key = shard.key();
     res.cores = std::max(shard.cores, 1);
-    res.mode = shard.mode;
-    const bool fast = shard.mode == api::SimMode::FastM1;
     if (!shard.profile.frontend.empty()) {
         // Provenance for externally ingested workloads: the recorded
         // name (scheme prefix stripped) plus the content hash that
@@ -160,7 +156,6 @@ SweepRunner::runShard(const ShardSpec& shard) const
         chip::ChipConfig chipCfg;
         chipCfg.cores.assign(static_cast<size_t>(nCores), shard.config);
         chipCfg.seed = spec_.seed;
-        chipCfg.fastM1 = fast;
         chip::ChipModel model(chipCfg);
         chip::ChipRunOptions opts;
         opts.measureInstrs = spec_.instrs;
@@ -279,14 +274,8 @@ SweepRunner::runShard(const ShardSpec& shard) const
                              static_cast<double>(res.cycles));
             report.addScalar("instrs",
                              static_cast<double>(res.instrs));
-            // Power/efficiency are absent (not zeroed) for FastM1;
-            // the meta mode key records why.
-            if (fast) {
-                report.meta().mode = api::simModeName(shard.mode);
-            } else {
-                report.addScalar("power_w", res.powerW);
-                report.addScalar("ipc_per_w", res.ipcPerW);
-            }
+            report.addScalar("power_w", res.powerW);
+            report.addScalar("ipc_per_w", res.ipcPerW);
             if (rec)
                 report.addTimeSeries(*rec);
             auto st = report.writeTo(
@@ -345,8 +334,7 @@ SweepRunner::run(int jobs)
             return st.error();
     }
 
-    SweepResult result;
-    result.shards.resize(shards.size());
+    std::vector<ShardResult> results(shards.size());
 
     std::mutex progressMu;
     ThreadPool pool(jobs);
@@ -396,12 +384,21 @@ SweepRunner::run(int jobs)
             onProgress(ev);
         }
         // Slot i is this task's alone — results land by index, which
-        // is what makes the fold below scheduling-independent.
-        result.shards[i] = std::move(shard);
+        // is what makes the fold scheduling-independent.
+        results[i] = std::move(shard);
     });
+    return fold(spec_, shards, std::move(results));
+}
 
-    // Index-ordered fold: aggregates come out identical no matter how
-    // many threads ran the shards or in what order they finished.
+SweepResult
+SweepRunner::fold(const SweepSpec& spec,
+                  const std::vector<ShardSpec>& shards,
+                  std::vector<ShardResult> results)
+{
+    P10_ASSERT(results.size() == shards.size(),
+               "fold: one result per expanded shard required");
+    SweepResult result;
+    result.shards = std::move(results);
     for (const ShardResult& s : result.shards) {
         result.retriesTotal += static_cast<uint64_t>(s.retries);
         if (s.fromCache)
@@ -414,12 +411,12 @@ SweepRunner::run(int jobs)
             ++result.okCount;
             // Warmup is simulated once per (core, SMT thread); the
             // measured instrs already sum across cores.
+            const ShardSpec& shard = shards[s.index];
             result.simInstrs +=
-                s.instrs + spec_.warmup *
+                s.instrs + spec.warmup *
+                               static_cast<uint64_t>(shard.smt) *
                                static_cast<uint64_t>(
-                                   shards[s.index].smt) *
-                               static_cast<uint64_t>(std::max(
-                                   shards[s.index].cores, 1));
+                                   std::max(shard.cores, 1));
         } else {
             ++result.failed;
         }
@@ -452,28 +449,11 @@ SweepRunner::merge(const SweepSpec& spec, const SweepResult& result,
     report.addScalar("sweep.retries",
                      static_cast<double>(result.retriesTotal));
     report.addScalar("sweep.geomean_ipc", result.geoMeanIpc());
-    // Mean power is a Full-mode aggregate; an all-FastM1 sweep has
-    // nothing to average and the scalar is absent, not zero.
-    bool anyFull = false;
-    bool anyFast = false;
-    for (const ShardResult& s : result.shards) {
-        if (s.mode == api::SimMode::FastM1)
-            anyFast = true;
-        else
-            anyFull = true;
-    }
-    if (anyFull)
-        report.addScalar("sweep.mean_power_w", result.meanPowerW());
+    report.addScalar("sweep.mean_power_w", result.meanPowerW());
 
-    // The mode column appears only in sweeps that actually ran FastM1
-    // shards, so Full-only sweeps keep their exact historical bytes.
     common::Table t("sweep shards");
-    if (anyFast)
-        t.header({"shard", "config", "workload", "smt", "seed", "mode",
-                  "status", "retries", "cycles", "ipc", "power_w"});
-    else
-        t.header({"shard", "config", "workload", "smt", "seed",
-                  "status", "retries", "cycles", "ipc", "power_w"});
+    t.header({"shard", "config", "workload", "smt", "seed", "status",
+              "retries", "cycles", "ipc", "power_w"});
     for (const ShardResult& s : result.shards) {
         // key = "config/workload/smtN/seedK" — split it back into the
         // table's axis columns.
@@ -494,20 +474,10 @@ SweepRunner::merge(const SweepSpec& spec, const SweepResult& result,
             parts.size() > 3 && parts[3].size() > 4
                 ? parts[3].substr(4)
                 : "";
-        const bool fastRow = s.mode == api::SimMode::FastM1;
-        std::vector<std::string> row = {std::to_string(s.index), config,
-                                        workload, smt, seed};
-        if (anyFast)
-            row.push_back(api::simModeName(s.mode));
-        row.push_back(s.ok ? "ok"
-                           : common::errorCodeName(s.error.code));
-        row.push_back(std::to_string(s.retries));
-        row.push_back(std::to_string(s.cycles));
-        row.push_back(common::fmt(s.ipc, 4));
-        // A FastM1 shard has no power result: "-" renders absence,
-        // where "0.000" would read as a measured zero.
-        row.push_back(fastRow ? "-" : common::fmt(s.powerW, 3));
-        t.row(std::move(row));
+        t.row({std::to_string(s.index), config, workload, smt, seed,
+               s.ok ? "ok" : common::errorCodeName(s.error.code),
+               std::to_string(s.retries), std::to_string(s.cycles),
+               common::fmt(s.ipc, 4), common::fmt(s.powerW, 3)});
     }
     report.addTable(t);
 

@@ -128,6 +128,18 @@ class SweepRunner
     const SweepSpec& spec() const { return spec_; }
 
     /**
+     * Index-ordered fold of @p results (one per entry of @p shards, the
+     * expansion of @p spec) into a SweepResult: retries, cache
+     * provenance, cancellations, ok/failed counts and simulated
+     * instructions. Every executor — the local pool here, a fleet of
+     * remote workers — folds through this one function, so the
+     * aggregates cannot depend on where a shard ran.
+     */
+    static SweepResult fold(const SweepSpec& spec,
+                            const std::vector<ShardSpec>& shards,
+                            std::vector<ShardResult> results);
+
+    /**
      * Fold @p result into one deterministic p10ee-report/1 document
      * (see the determinism contract above). @p tool names the emitting
      * binary in the report meta.

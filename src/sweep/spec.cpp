@@ -23,9 +23,6 @@ ShardSpec::key() const
     // 1-core keys stay exactly historical (bare-core identity).
     if (cores >= 2)
         os << "/c" << cores;
-    // Likewise Full-mode keys: only FastM1 shards carry a mode suffix.
-    if (mode == api::SimMode::FastM1)
-        os << "/fast_m1";
     return os.str();
 }
 
@@ -55,23 +52,6 @@ SweepSpec::validate() const
         if (n < 1 || n > 16)
             bad("cores entries must be in [1, 16] (got " +
                 std::to_string(n) + ")");
-    if (modes.empty())
-        bad("mode must list at least one fidelity mode");
-    bool anyFast = false;
-    for (api::SimMode m : modes)
-        anyFast = anyFast || m == api::SimMode::FastM1;
-    if (anyFast) {
-        // The grid is a full cross product, so a fast_m1 entry crossed
-        // with an incompatible axis value is a spec error, never a
-        // silently skipped combination.
-        for (int n : cores)
-            if (n >= 2)
-                bad("mode fast_m1 requires cores == 1 (got cores "
-                    "entry " + std::to_string(n) + ")");
-        if (sampleInterval != 0)
-            bad("mode fast_m1 skips telemetry (sample_interval must "
-                "be 0)");
-    }
     if (seeds < 1)
         bad("seeds must be >= 1");
     if (instrs == 0)
@@ -90,7 +70,7 @@ uint64_t
 SweepSpec::shardCount() const
 {
     return static_cast<uint64_t>(configs.size()) * workloads.size() *
-           smt.size() * cores.size() * modes.size() * seeds;
+           smt.size() * cores.size() * seeds;
 }
 
 Expected<core::CoreConfig>
@@ -149,8 +129,8 @@ SweepSpec::expand() const
     }
 
     // Nested-loop expansion order (configs > workloads > smt > cores >
-    // modes > seeds) is part of the format: the shard index is the
-    // identity that keys RNG streams and the merge fold.
+    // seeds) is part of the format: the shard index is the identity
+    // that keys RNG streams and the merge fold.
     std::vector<ShardSpec> shards;
     shards.reserve(shardCount());
     uint64_t index = 0;
@@ -158,22 +138,20 @@ SweepSpec::expand() const
         for (size_t w = 0; w < profs.size(); ++w)
             for (int threads : smt)
                 for (int chipCores : cores)
-                    for (api::SimMode m : modes)
-                        for (uint64_t s = 0; s < seeds; ++s) {
-                            ShardSpec shard;
-                            shard.index = index++;
-                            shard.configName = configs[c];
-                            shard.config = cfgs[c];
-                            shard.profile = profs[w];
-                            if (s != 0)
-                                shard.profile.seed =
-                                    common::splitSeed(profs[w].seed, s);
-                            shard.smt = threads;
-                            shard.cores = chipCores;
-                            shard.mode = m;
-                            shard.seedIndex = s;
-                            shards.push_back(std::move(shard));
-                        }
+                    for (uint64_t s = 0; s < seeds; ++s) {
+                        ShardSpec shard;
+                        shard.index = index++;
+                        shard.configName = configs[c];
+                        shard.config = cfgs[c];
+                        shard.profile = profs[w];
+                        if (s != 0)
+                            shard.profile.seed =
+                                common::splitSeed(profs[w].seed, s);
+                        shard.smt = threads;
+                        shard.cores = chipCores;
+                        shard.seedIndex = s;
+                        shards.push_back(std::move(shard));
+                    }
     return shards;
 }
 
@@ -197,10 +175,6 @@ SweepSpec::toJson() const
     w.key("cores").beginArray();
     for (int n : cores)
         w.value(n);
-    w.endArray();
-    w.key("mode").beginArray();
-    for (api::SimMode m : modes)
-        w.value(std::string(api::simModeName(m)));
     w.endArray();
     w.key("seeds").value(seeds);
     w.key("instrs").value(instrs);
@@ -282,22 +256,6 @@ SweepSpec::fromJsonValue(const obs::JsonValue& root)
                 if (!n)
                     return n.error();
                 spec.cores.push_back(static_cast<int>(n.value()));
-            }
-        } else if (key == "mode") {
-            if (!v.isArray())
-                return Error::invalidConfig(
-                    "mode must be an array of mode names");
-            spec.modes.clear();
-            for (const obs::JsonValue& e : v.array) {
-                if (!e.isString())
-                    return Error::invalidConfig(
-                        "mode must contain only strings");
-                Expected<api::SimMode> m = api::parseSimMode(e.string);
-                if (!m)
-                    return Error{common::ErrorCode::InvalidConfig,
-                                 "sweep spec: " + m.error().message,
-                                 "mode"};
-                spec.modes.push_back(m.value());
             }
         } else if (key == "seeds") {
             Expected<uint64_t> n = v.asU64("seeds");

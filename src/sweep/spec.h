@@ -11,9 +11,8 @@
  *
  * The expansion order is part of the format: shards are numbered in
  * nested-loop order, configs outermost, then workloads, then SMT
- * levels, then chip sizes, then fidelity modes, then seed replicas.
- * The shard index is the identity every
- * downstream guarantee hangs off — per-shard RNG streams derive from
+ * levels, then chip sizes, then seed replicas. The shard index is
+ * the identity every downstream guarantee hangs off — per-shard RNG streams derive from
  * it (common::splitSeed), and the merge stage folds results in index
  * order, which is what makes merged reports byte-identical no matter
  * how many threads executed the shards or in what order they finished.
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "api/types.h"
 #include "common/error.h"
 #include "core/config.h"
 #include "obs/json.h"
@@ -45,15 +43,13 @@ struct ShardSpec
     int smt = 1;
     /** Cores on the simulated chip; 1 = the bare-core path. */
     int cores = 1;
-    /** Fidelity mode of this shard (api::SimMode semantics). */
-    api::SimMode mode = api::SimMode::Full;
     uint64_t seedIndex = 0;
 
     /**
      * "config/workload/smtN/seedK" — stable human-readable identity.
-     * Multi-core shards append "/cN", FastM1 shards "/fast_m1";
-     * Full-mode 1-core shards keep the exact historical key, part of
-     * the 1-core ≡ bare-core byte-identity contract.
+     * Multi-core shards append "/cN"; 1-core shards keep the exact
+     * historical key, part of the 1-core ≡ bare-core byte-identity
+     * contract.
      */
     std::string key() const;
 };
@@ -70,14 +66,6 @@ struct SweepSpec
         bare-core path; N >= 2 runs N cores through the shared-resource
         and chip-governor layers (src/chip). */
     std::vector<int> cores = {1};
-    /**
-     * Fidelity modes to sweep (JSON key "mode": ["full", "fast_m1"]).
-     * FastM1 entries require every cores entry to be 1 and no
-     * sample_interval (telemetry is exactly what the mode skips);
-     * mixed-mode sweeps merge into one report where FastM1 rows carry
-     * no power column.
-     */
-    std::vector<api::SimMode> modes = {api::SimMode::Full};
 
     /** Seed replicas per grid point; replica k runs the profile under
         splitSeed(profile.seed, k), replica 0 the profile default. */

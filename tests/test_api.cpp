@@ -10,14 +10,12 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "api/args.h"
 #include "api/service.h"
 #include "common/error.h"
-#include "common/stats.h"
 #include "sweep/spec.h"
 
 using namespace p10ee;
@@ -77,12 +75,9 @@ TEST(ArgParser, ParsesEveryKindAndAlias)
     api::stdflags::jobs(p, &jobs);
     p.boolean("--csv", &csv, "csv output");
 
-    Argv a({"--stats-json", "r.json", "--seed", "7", "--jobs", "3",
-            "--csv"});
+    Argv a({"--out", "r.json", "--seed", "7", "--jobs", "3", "--csv"});
     auto st = p.parse(a.argc(), a.argv());
     ASSERT_TRUE(st.ok()) << st.error().str();
-    // --stats-json is a deprecated alias of --out: parses identically
-    // (the deprecation warning goes to stderr, not into the result).
     EXPECT_EQ(out, "r.json");
     EXPECT_EQ(seed, 7u);
     EXPECT_EQ(jobs, 3);
@@ -92,37 +87,23 @@ TEST(ArgParser, ParsesEveryKindAndAlias)
 
 TEST(ArgParser, RetiredJsonSpellingIsGone)
 {
-    // The third spelling of the report-output flag was retired: one
-    // canonical name (--out), one deprecation-warned stepping stone
-    // (--stats-json), nothing else.
+    // Retired spellings are plain unknown options: the report output
+    // has one name (--out), and the fidelity flag is gone with the
+    // fidelity mode.
     std::string out;
     api::ArgParser p("t", "");
     api::stdflags::out(p, &out);
-    Argv a({"--json", "r.json"});
-    auto st = p.parse(a.argc(), a.argv());
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.error().code, common::ErrorCode::InvalidArgument);
-    EXPECT_NE(st.error().message.find("--json"), std::string::npos);
-}
-
-TEST(ArgParser, ModeFlagParsesAndConverts)
-{
-    std::string mode;
-    api::ArgParser p("t", "");
-    api::stdflags::mode(p, &mode);
-    Argv a({"--mode", "fast_m1"});
-    ASSERT_TRUE(p.parse(a.argc(), a.argv()).ok());
-    auto m = api::parseSimMode(mode);
-    ASSERT_TRUE(m.ok());
-    EXPECT_EQ(m.value(), api::SimMode::FastM1);
-
-    // Hostile values convert to a structured error naming the field.
-    auto bad = api::parseSimMode("turbo");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().code, common::ErrorCode::InvalidArgument);
-    EXPECT_EQ(bad.error().field, "mode");
-    EXPECT_NE(bad.error().str().find("(field: mode)"),
-              std::string::npos);
+    for (const char* flag : {"--json", "--stats-json", "--mode"}) {
+        Argv a({flag, "r.json"});
+        auto st = p.parse(a.argc(), a.argv());
+        ASSERT_FALSE(st.ok()) << flag;
+        EXPECT_EQ(st.error().code, common::ErrorCode::InvalidArgument)
+            << flag;
+        EXPECT_NE(st.error().message.find("'" + std::string(flag) + "'"),
+                  std::string::npos)
+            << st.error().message;
+    }
+    EXPECT_TRUE(out.empty());
 }
 
 TEST(ArgParser, StructuredErrorsNeverExit)
@@ -179,10 +160,9 @@ TEST(ArgParser, HelpIsGeneratedFromTheFlagTable)
     EXPECT_NE(help.find("mytool"), std::string::npos);
     EXPECT_NE(help.find("--out"), std::string::npos);
     EXPECT_NE(help.find("--instrs"), std::string::npos);
-    // Deprecated aliases are documented on the canonical flag's line,
-    // uniformly marked so every front end prints the same status.
-    EXPECT_NE(help.find("(deprecated: --stats-json)"),
-              std::string::npos);
+    EXPECT_NE(help.find("--out <path>"), std::string::npos);
+    EXPECT_EQ(help.find("<<"), std::string::npos);
+    EXPECT_EQ(help.find("--stats-json"), std::string::npos);
     EXPECT_EQ(help.find("--json "), std::string::npos);
 }
 
@@ -204,6 +184,16 @@ TEST(ArgParser, WasSetDistinguishesDefaultFromExplicit)
         EXPECT_TRUE(wasSet);
         EXPECT_EQ(warmup, 0u);
     }
+}
+
+TEST(ArgParserDeathTest, BracketedMetavarAsserts)
+{
+    // help() brackets the metavar itself, so a bracketed one would
+    // print as "<<path>>": registering it is a programming error.
+    std::string v;
+    api::ArgParser p("t", "");
+    EXPECT_DEATH(p.str("--in", &v, "<path>", "input"), "bare metavar");
+    EXPECT_DEATH(p.str("--in", &v, "path>", "input"), "bare metavar");
 }
 
 // --- RunRequest validation / runOne ---
@@ -406,20 +396,7 @@ TEST(Service, MaxCyclesOverrideOnlyTightens)
         EXPECT_EQ(s.error.code, common::ErrorCode::Timeout);
 }
 
-// --- SimMode: field-named validation, the FastM1 differential, and
-// --- cross-mode checkpoint interchange ---
-
-/** The architectural view of a full-mode counter snapshot: everything
-    minus the sw.* switching-activity family FastM1 skips. */
-common::StatSnapshot
-archStats(const common::StatSnapshot& stats)
-{
-    common::StatSnapshot arch;
-    for (const auto& [name, value] : stats)
-        if (name.rfind("sw.", 0) != 0)
-            arch[name] = value;
-    return arch;
-}
+// --- Structured validation ---
 
 TEST(RunRequest, ValidationErrorsNameTheFirstBadField)
 {
@@ -437,14 +414,9 @@ TEST(RunRequest, ValidationErrorsNameTheFirstBadField)
     EXPECT_EQ(fieldOf(req), "instrs");
 
     req = api::RunRequest{};
-    req.mode = api::SimMode::FastM1;
-    req.cores = 2;
-    EXPECT_EQ(fieldOf(req), "mode");
-
-    req = api::RunRequest{};
-    req.mode = api::SimMode::FastM1;
-    req.sampleInterval = 128;
-    EXPECT_EQ(fieldOf(req), "mode");
+    req.cores = 0;
+    req.instrs = 0;
+    EXPECT_EQ(fieldOf(req), "cores");
 
     // The field rides on the rendered message verbatim — the daemon's
     // NDJSON error line and both CLIs' exit-2 text print this string.
@@ -454,192 +426,6 @@ TEST(RunRequest, ValidationErrorsNameTheFirstBadField)
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.error().str().find("(field: smt)"),
               std::string::npos);
-}
-
-TEST(Service, FastM1ArchIdenticalToFullEverywhere)
-{
-    // The differential pin of the fast path: across machines, SMT
-    // levels, synthetic and recorded-trace workloads, FastM1 must
-    // produce byte-identical architectural results to Full — same
-    // cycles/instrs/ops/flops and every non-sw.* counter — while its
-    // power-proxy counters are absent (not zeroed) and no power can
-    // be evaluated.
-    api::Service service;
-    const std::string traceWl = std::string("trace:") +
-                                P10EE_GOLDEN_DIR +
-                                "/trace_isa30.p10trace";
-    for (const char* config : {"power9", "power10"}) {
-        for (const std::string& workload :
-             {std::string("perlbench"), std::string("xz"), traceWl}) {
-            for (int smt : {1, 2}) {
-                api::RunRequest req;
-                req.config = config;
-                req.workload = workload;
-                req.smt = smt;
-                req.instrs = 2000;
-                req.warmup = 400;
-                auto full = service.runOne(req);
-                ASSERT_TRUE(full.ok()) << full.error().str();
-                req.mode = api::SimMode::FastM1;
-                auto fast = service.runOne(req);
-                ASSERT_TRUE(fast.ok()) << fast.error().str();
-
-                const std::string tag = std::string(config) + "/" +
-                                        workload + "/smt" +
-                                        std::to_string(smt);
-                EXPECT_EQ(fast.value().run.cycles,
-                          full.value().run.cycles)
-                    << tag;
-                EXPECT_EQ(fast.value().run.instrs,
-                          full.value().run.instrs)
-                    << tag;
-                EXPECT_EQ(fast.value().run.ops, full.value().run.ops)
-                    << tag;
-                EXPECT_EQ(fast.value().run.flops,
-                          full.value().run.flops)
-                    << tag;
-                EXPECT_EQ(fast.value().run.stats,
-                          archStats(full.value().run.stats))
-                    << tag;
-                EXPECT_GT(full.value().powerW(), 0.0) << tag;
-                EXPECT_EQ(fast.value().powerW(), 0.0) << tag;
-                for (const auto& [name, value] :
-                     fast.value().run.stats)
-                    EXPECT_NE(name.rfind("sw.", 0), 0u) << name;
-                // The fast report carries no power scalars (absent,
-                // not zeroed) and states its fidelity; full-mode
-                // reports keep their exact historical bytes.
-                const std::string fastJson =
-                    api::Service::runReport(req, fast.value())
-                        .toJson();
-                EXPECT_EQ(fastJson.find("power_w"), std::string::npos)
-                    << tag;
-                EXPECT_NE(fastJson.find("fast_m1"), std::string::npos)
-                    << tag;
-            }
-        }
-    }
-}
-
-TEST(Service, CheckpointsInterchangeAcrossModes)
-{
-    // Warmup checkpoints are mode-independent (sw.* counters are
-    // excluded from the saved state in both modes): a snapshot taken
-    // by a Full run restores into a FastM1 run and vice versa with
-    // byte-identical architectural results — never silent divergence.
-    api::Service service;
-    const std::string fullCkpt = freshDir("p10ee_api_ckpt_full.bin");
-    const std::string fastCkpt = freshDir("p10ee_api_ckpt_fast.bin");
-
-    api::RunRequest base;
-    base.workload = "xz";
-    base.smt = 2;
-    base.instrs = 2000;
-    base.warmup = 500;
-
-    api::RunRequest save = base;
-    save.ckptSave = fullCkpt;
-    auto fullCold = service.runOne(save);
-    ASSERT_TRUE(fullCold.ok()) << fullCold.error().str();
-
-    save.mode = api::SimMode::FastM1;
-    save.ckptSave = fastCkpt;
-    auto fastCold = service.runOne(save);
-    ASSERT_TRUE(fastCold.ok()) << fastCold.error().str();
-
-    // The two snapshot files are the same bytes: mode is not part of
-    // checkpoint identity.
-    {
-        std::ifstream a(fullCkpt, std::ios::binary);
-        std::ifstream b(fastCkpt, std::ios::binary);
-        ASSERT_TRUE(a.good());
-        ASSERT_TRUE(b.good());
-        const std::string bytesA(
-            (std::istreambuf_iterator<char>(a)),
-            std::istreambuf_iterator<char>());
-        const std::string bytesB(
-            (std::istreambuf_iterator<char>(b)),
-            std::istreambuf_iterator<char>());
-        EXPECT_FALSE(bytesA.empty());
-        EXPECT_EQ(bytesA, bytesB);
-    }
-
-    // Full checkpoint -> FastM1 run (and the reverse): architectural
-    // results identical to the cold runs of the target mode.
-    api::RunRequest load = base;
-    load.ckptLoad = fullCkpt;
-    load.mode = api::SimMode::FastM1;
-    auto fastWarm = service.runOne(load);
-    ASSERT_TRUE(fastWarm.ok()) << fastWarm.error().str();
-    EXPECT_EQ(fastWarm.value().warmupSimulated, 0u);
-    EXPECT_EQ(fastWarm.value().run.cycles, fastCold.value().run.cycles);
-    EXPECT_EQ(fastWarm.value().run.instrs, fastCold.value().run.instrs);
-    EXPECT_EQ(fastWarm.value().run.stats, fastCold.value().run.stats);
-    EXPECT_EQ(fastWarm.value().powerW(), 0.0);
-
-    load = base;
-    load.ckptLoad = fastCkpt;
-    auto fullWarm = service.runOne(load);
-    ASSERT_TRUE(fullWarm.ok()) << fullWarm.error().str();
-    EXPECT_EQ(fullWarm.value().run.cycles, fullCold.value().run.cycles);
-    EXPECT_EQ(fullWarm.value().run.instrs, fullCold.value().run.instrs);
-    EXPECT_EQ(fullWarm.value().run.stats, fullCold.value().run.stats);
-    // A Full run restored from a FastM1 snapshot evaluates power
-    // normally — identical to power from a Full-saved snapshot.
-    EXPECT_EQ(fullWarm.value().powerW(), fullCold.value().powerW());
-    EXPECT_GT(fullWarm.value().powerW(), 0.0);
-
-    std::filesystem::remove(fullCkpt);
-    std::filesystem::remove(fastCkpt);
-}
-
-TEST(Service, MixedModeSweepIsDeterministicAndArchConsistent)
-{
-    // One sweep over both fidelity modes: merged reports byte-identical
-    // across job counts and cache warmth, and within a run each grid
-    // point's FastM1 shard matches its Full twin architecturally while
-    // carrying no power.
-    sweep::SweepSpec spec = smallSpec();
-    spec.configs = {"power9", "power10"};
-    spec.modes = {api::SimMode::Full, api::SimMode::FastM1};
-
-    const std::string dir = freshDir("p10ee_api_mode_sweep_cache");
-    api::Service service(api::Service::Options{dir});
-
-    api::SweepOptions serial;
-    serial.jobs = 1;
-    auto cold = service.runSweep(spec, serial);
-    ASSERT_TRUE(cold.ok()) << cold.error().str();
-    EXPECT_EQ(cold.value().okCount, spec.shardCount());
-
-    api::SweepOptions parallel;
-    parallel.jobs = 4;
-    auto warm = service.runSweep(spec, parallel);
-    ASSERT_TRUE(warm.ok()) << warm.error().str();
-    EXPECT_EQ(warm.value().simulatedShards, 0u);
-    EXPECT_EQ(
-        api::Service::mergedReport(spec, cold.value()).toJson(),
-        api::Service::mergedReport(spec, warm.value()).toJson());
-
-    // Modes expand innermost above seeds: with seeds == 1 each Full
-    // shard is immediately followed by its FastM1 twin.
-    const auto& shards = cold.value().shards;
-    ASSERT_EQ(shards.size() % 2, 0u);
-    for (size_t i = 0; i < shards.size(); i += 2) {
-        const auto& full = shards[i];
-        const auto& fast = shards[i + 1];
-        ASSERT_EQ(full.mode, api::SimMode::Full) << full.key;
-        ASSERT_EQ(fast.mode, api::SimMode::FastM1) << fast.key;
-        EXPECT_EQ(fast.key, full.key + "/fast_m1");
-        EXPECT_EQ(fast.cycles, full.cycles) << full.key;
-        EXPECT_EQ(fast.instrs, full.instrs) << full.key;
-        EXPECT_EQ(fast.ipc, full.ipc) << full.key;
-        EXPECT_GT(full.powerW, 0.0) << full.key;
-        EXPECT_EQ(fast.powerW, 0.0) << fast.key;
-        EXPECT_EQ(fast.ipcPerW, 0.0) << fast.key;
-    }
-
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

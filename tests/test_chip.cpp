@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
@@ -936,27 +937,38 @@ TEST(ChipRunOne, ChipCheckpointSaveLoadRoundTrip)
             .string();
     api::Service service;
 
-    api::RunRequest save;
-    save.workload = "xz";
-    save.cores = 2;
-    save.instrs = kMeasure;
-    save.warmup = kWarmupPerThread;
-    save.ckptSave = path;
-    auto cold = service.runOne(save);
-    ASSERT_TRUE(cold.ok()) << cold.error().str();
+    // The bare-core checkpoint (cores = 1, at SMT2) and the per-core
+    // chip snapshot (cores = 2): either restore must reproduce the
+    // cold run's report bytes exactly.
+    api::RunRequest load;
+    for (const auto& [cores, smt] : {std::pair{1, 2}, std::pair{2, 1}}) {
+        api::RunRequest save;
+        save.workload = "xz";
+        save.smt = smt;
+        save.cores = cores;
+        save.instrs = kMeasure;
+        save.warmup = kWarmupPerThread;
+        save.ckptSave = path;
+        auto cold = service.runOne(save);
+        ASSERT_TRUE(cold.ok()) << cold.error().str();
 
-    api::RunRequest load = save;
-    load.ckptSave.clear();
-    load.ckptLoad = path;
-    auto warm = service.runOne(load);
-    ASSERT_TRUE(warm.ok()) << warm.error().str();
-    EXPECT_EQ(warm.value().warmupSimulated, 0u);
-    EXPECT_EQ(chipFingerprint(warm.value().chip),
-              chipFingerprint(cold.value().chip));
-    EXPECT_EQ(api::Service::runReport(load, warm.value()).toJson(),
-              api::Service::runReport(save, cold.value()).toJson());
+        load = save;
+        load.ckptSave.clear();
+        load.ckptLoad = path;
+        auto warm = service.runOne(load);
+        ASSERT_TRUE(warm.ok()) << warm.error().str();
+        EXPECT_EQ(warm.value().warmupSimulated, 0u) << cores;
+        EXPECT_EQ(warm.value().run.stats, cold.value().run.stats)
+            << cores;
+        EXPECT_EQ(chipFingerprint(warm.value().chip),
+                  chipFingerprint(cold.value().chip))
+            << cores;
+        EXPECT_EQ(api::Service::runReport(load, warm.value()).toJson(),
+                  api::Service::runReport(save, cold.value()).toJson())
+            << cores;
+    }
 
-    // Loading a 2-core checkpoint into a 4-core request must fail
+    // Loading the 2-core checkpoint into a 4-core request must fail
     // with the structured core-count error.
     api::RunRequest wrong = load;
     wrong.cores = 4;

@@ -302,65 +302,6 @@ TEST(SweepSpec, ExpansionOrderIsNestedLoopsConfigsOutermost)
               common::splitSeed(shards.value()[0].profile.seed, 1));
 }
 
-TEST(SweepSpec, ModeAxisParsesExpandsAndSuffixesKeys)
-{
-    auto spec = sweep::SweepSpec::fromJson(
-        "{\"configs\": [\"power10\"], \"workloads\": [\"mcf\"],"
-        "\"smt\": [1], \"mode\": [\"full\", \"fast_m1\"],"
-        "\"instrs\": 2000, \"warmup\": 400, \"seed\": 3}");
-    ASSERT_TRUE(spec.ok()) << spec.error().str();
-    ASSERT_EQ(spec.value().modes.size(), 2u);
-    EXPECT_EQ(spec.value().shardCount(), 2u);
-
-    auto shards = spec.value().expand();
-    ASSERT_TRUE(shards.ok()) << shards.error().str();
-    // Full-mode keys keep the exact historical spelling; FastM1 keys
-    // append the mode so mixed sweeps stay self-describing.
-    EXPECT_EQ(shards.value()[0].key(), "power10/mcf/smt1/seed0");
-    EXPECT_EQ(shards.value()[1].key(),
-              "power10/mcf/smt1/seed0/fast_m1");
-    EXPECT_EQ(shards.value()[0].mode, api::SimMode::Full);
-    EXPECT_EQ(shards.value()[1].mode, api::SimMode::FastM1);
-
-    // Round trip: the mode axis survives canonical JSON.
-    auto back = sweep::SweepSpec::fromJson(spec.value().toJson());
-    ASSERT_TRUE(back.ok()) << back.error().str();
-    EXPECT_EQ(back.value().toJson(), spec.value().toJson());
-}
-
-TEST(SweepSpec, HostileModeValuesRejectedAtTheSpecBoundary)
-{
-    // Unknown mode spellings must die in parsing with the offending
-    // field named — a typo must never silently run the wrong fidelity.
-    auto bad = sweep::SweepSpec::fromJson(
-        "{\"configs\": [\"power10\"], \"workloads\": [\"mcf\"],"
-        "\"mode\": [\"warp9\"]}");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().field, "mode");
-    EXPECT_NE(bad.error().str().find("warp9"), std::string::npos);
-
-    // Wrong JSON type for the axis.
-    EXPECT_FALSE(sweep::SweepSpec::fromJson(
-                     "{\"configs\": [\"power10\"],"
-                     "\"workloads\": [\"mcf\"], \"mode\": \"full\"}")
-                     .ok());
-
-    // FastM1 is a single-core mode: a spec crossing it with a
-    // multi-core axis entry fails validation.
-    sweep::SweepSpec spec = smallSpec();
-    spec.modes = {api::SimMode::FastM1};
-    spec.cores = {1, 2};
-    auto st = spec.validate();
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.error().message.find("mode"), std::string::npos);
-
-    // ... and telemetry sampling is exactly what the mode skips.
-    spec = smallSpec();
-    spec.modes = {api::SimMode::FastM1};
-    spec.sampleInterval = 256;
-    EXPECT_FALSE(spec.validate().ok());
-}
-
 // ---------------------------------------------------------------------
 // SweepRunner: determinism, timeout, retry/skip
 // ---------------------------------------------------------------------

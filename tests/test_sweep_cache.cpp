@@ -131,7 +131,6 @@ expectSameResult(const ShardResult& got, const ShardResult& want)
     EXPECT_EQ(got.wallSeconds, 0.0);
     EXPECT_EQ(got.ipcX, want.ipcX);
     EXPECT_EQ(got.ipcY, want.ipcY);
-    EXPECT_EQ(got.mode, want.mode);
 }
 
 } // namespace
@@ -150,9 +149,6 @@ TEST(CacheKey, CanonicalJsonIsStableAndSelfContained)
     EXPECT_NE(a.find("config_hash"), std::string::npos);
     EXPECT_NE(a.find("profile_hash"), std::string::npos);
     EXPECT_NE(a.find("shard_index"), std::string::npos);
-    // Fidelity mode is part of cache identity: a FastM1 result has no
-    // power fields to replay into a Full request.
-    EXPECT_NE(a.find("\"mode\""), std::string::npos);
 }
 
 TEST(CacheKey, ReorderedSpecJsonSameKey)
@@ -209,8 +205,7 @@ TEST(CacheKey, SemanticFieldChangesChangeKey)
             "sampleInterval");
     mutated([](SweepSpec& s) { s.configs = {"power9"}; }, "config");
     mutated([](SweepSpec& s) { s.workloads = {"xz"}; }, "workload");
-    mutated([](SweepSpec& s) { s.modes = {api::SimMode::FastM1}; },
-            "mode");
+    mutated([](SweepSpec& s) { s.cores = {2}; }, "cores");
 }
 
 TEST(CacheKey, DistinctShardsDistinctKeys)
@@ -260,42 +255,6 @@ TEST(CacheEntry, FailedShardCachedToo)
     auto got = cache.lookup(spec, shard);
     ASSERT_TRUE(got.has_value());
     expectSameResult(*got, fail);
-}
-
-TEST(CacheEntry, FastM1ProvenanceSurvivesTheCache)
-{
-    // A cached FastM1 result must replay as FastM1 (no power fields)
-    // so a warm merged report renders its power column absent — mode
-    // provenance is the trailing byte of the v5 entry body.
-    TempCacheDir dir("cache_mode");
-    ShardCache cache(dir.path);
-    ASSERT_TRUE(cache.prepare().ok());
-    auto spec = tinySpec();
-    spec.modes = {api::SimMode::FastM1};
-    auto shard = expandOrDie(spec)[0];
-    auto want = okResult(shard);
-    want.mode = api::SimMode::FastM1;
-    want.powerW = 0.0;
-    want.ipcPerW = 0.0;
-    ASSERT_TRUE(cache.insert(spec, shard, want).ok());
-    auto got = cache.lookup(spec, shard);
-    ASSERT_TRUE(got.has_value());
-    expectSameResult(*got, want);
-    EXPECT_EQ(got->mode, api::SimMode::FastM1);
-}
-
-TEST(CacheHostile, OutOfRangeModeByteIsMiss)
-{
-    // An entry whose mode byte names no known fidelity (container
-    // checksum intact, so only the mode validation can catch it) must
-    // be a miss, never a bogus SimMode escaping into the runner.
-    auto spec = tinySpec();
-    auto shard = expandOrDie(spec)[0];
-    auto result = okResult(shard);
-    result.mode = static_cast<api::SimMode>(7);
-    auto bytes = ShardCache::encodeEntry(spec, shard, result);
-    EXPECT_FALSE(
-        ShardCache::decodeEntry(bytes, spec, shard).has_value());
 }
 
 TEST(CacheEntry, MissWhenAbsent)
@@ -396,18 +355,24 @@ TEST(CacheHostile, StaleSchemaVersionIsMissNotCorruptLoad)
 
 TEST(CacheHostile, StaleCacheFormatVersionIsMiss)
 {
-    // Same surgery on the container version (u32 at offset 8).
-    SeededCache s("staleformat");
-    auto mutated = s.bytes;
-    mutated[8] = 0x7E;
-    common::Fnv1a h;
-    h.bytes(mutated.data(), mutated.size() - 8);
-    const uint64_t sum = h.digest();
-    for (int i = 0; i < 8; ++i)
-        mutated[mutated.size() - 8 + static_cast<size_t>(i)] =
-            static_cast<uint8_t>(sum >> (8 * i));
-    writeEntry(s.path, mutated);
-    EXPECT_FALSE(s.cache.lookup(s.spec, s.shard).has_value());
+    // Same surgery on the container version (u32 at offset 8): a
+    // garbage version, and v5, whose entries still carried the retired
+    // fidelity-mode byte.
+    for (uint32_t version : {0x7Eu, 5u}) {
+        SeededCache s("staleformat");
+        auto mutated = s.bytes;
+        for (size_t i = 0; i < 4; ++i)
+            mutated[8 + i] = static_cast<uint8_t>(version >> (8 * i));
+        common::Fnv1a h;
+        h.bytes(mutated.data(), mutated.size() - 8);
+        const uint64_t sum = h.digest();
+        for (int i = 0; i < 8; ++i)
+            mutated[mutated.size() - 8 + static_cast<size_t>(i)] =
+                static_cast<uint8_t>(sum >> (8 * i));
+        writeEntry(s.path, mutated);
+        EXPECT_FALSE(s.cache.lookup(s.spec, s.shard).has_value())
+            << "format version " << version;
+    }
 }
 
 TEST(CacheHostile, CollidingEntryIdentityIsMiss)
@@ -662,4 +627,10 @@ TEST(SpecHostile, UnknownKeysRejected)
         R"({"configs":["power10"],"workloads":["mcf"],)"
         R"("workload":["typo-must-not-shrink-sweep"]})");
     EXPECT_FALSE(r.ok());
+    // The retired fidelity axis is an unknown key like any other.
+    auto mode = SweepSpec::fromJson(
+        R"({"configs":["power10"],"workloads":["mcf"],"mode":["full"]})");
+    ASSERT_FALSE(mode.ok());
+    EXPECT_NE(mode.error().message.find("'mode'"), std::string::npos)
+        << mode.error().message;
 }
