@@ -468,9 +468,10 @@ fleet_smoke build-asan-ubsan asan-ubsan
 trace_smoke build-asan-ubsan asan-ubsan
 chip_smoke build-asan-ubsan asan-ubsan
 
-# The hostile-input surfaces (checkpoint/cache/trace deserializers,
-# spec parsing) must also hold under the sanitizers, and their fuzz
-# tests are tier1-labelled — but be explicit here so a label change
+# The hostile-input surfaces (the sealed-file layout, the
+# checkpoint/cache/trace deserializers behind it, spec parsing) must
+# also hold under the sanitizers, and their fuzz tests are
+# tier1-labelled — but be explicit here so a label change
 # cannot silently drop them from sanitizer coverage.
 echo "=== asan-ubsan: hostile-input fuzz suites ==="
 build-asan-ubsan/tests/test_ckpt \
@@ -484,6 +485,8 @@ build-asan-ubsan/tests/test_trace \
     --gtest_filter='TraceHostile.*' >/dev/null
 build-asan-ubsan/tests/test_chip \
     --gtest_filter='ChipCkptHostile.*' >/dev/null
+build-asan-ubsan/tests/test_common \
+    --gtest_filter='SealedFile.*' >/dev/null
 
 # TSan flavour: only the parallel paths (thread pool, sweep runner,
 # parallel fault campaign, the shared-object caches) need race

@@ -1,6 +1,5 @@
 #include "api/service.h"
 
-#include <memory>
 #include <vector>
 
 #include "chip/chip.h"
@@ -10,132 +9,12 @@
 #include "sweep/cache.h"
 #include "trace/replay.h"
 #include "workloads/registry.h"
-#include "workloads/synthetic.h"
 
 namespace p10ee::api {
 
 using common::Error;
 using common::Expected;
 using common::Status;
-
-namespace {
-
-/**
- * The cores >= 2 body of Service::runOne: one homogeneous ChipModel
- * over the resolved config/profile, with chip-checkpoint save/load.
- * Kept out of the main path so the cores == 1 flow stays textually the
- * bare-core path the byte-identity contract pins.
- */
-Expected<RunOutcome>
-runOneChip(const RunRequest& req, core::CoreConfig cfg,
-           workloads::WorkloadProfile profile)
-{
-    const int nCores = req.cores;
-    std::vector<std::unique_ptr<workloads::CheckpointableSource>>
-        sources;
-    std::vector<std::vector<workloads::InstrSource*>> perCore(
-        static_cast<size_t>(nCores));
-    std::vector<std::vector<workloads::CheckpointableSource*>> walkers(
-        static_cast<size_t>(nCores));
-    for (int c = 0; c < nCores; ++c) {
-        for (int t = 0; t < req.smt; ++t) {
-            Expected<std::unique_ptr<workloads::CheckpointableSource>>
-                src = workloads::makeSource(profile, c * req.smt + t);
-            if (!src)
-                return src.error();
-            sources.push_back(std::move(src.value()));
-            perCore[static_cast<size_t>(c)].push_back(
-                sources.back().get());
-            walkers[static_cast<size_t>(c)].push_back(
-                sources.back().get());
-        }
-    }
-
-    RunOutcome out;
-    out.config = cfg;
-    out.profile = profile;
-    out.cores = nCores;
-
-    chip::ChipConfig chipCfg;
-    chipCfg.cores.assign(static_cast<size_t>(nCores), cfg);
-    chipCfg.seed = profile.seed;
-    if (Status st = chipCfg.validate(); !st)
-        return st.error();
-    chip::ChipModel model(std::move(chipCfg));
-
-    chip::ChipRunOptions opts;
-    opts.measureInstrs = req.instrs;
-    opts.maxCycles = req.maxCycles;
-    opts.recorder = req.recorder;
-
-    const uint64_t warmupPerCore =
-        req.warmup * static_cast<uint64_t>(req.smt);
-    if (!req.ckptLoad.empty()) {
-        Expected<ckpt::Checkpoint> ckOr =
-            ckpt::Checkpoint::load(req.ckptLoad);
-        if (!ckOr)
-            return ckOr.error();
-        const ckpt::Checkpoint& ck = ckOr.value();
-        // Same workload-identity guard as the bare path; the chip/core
-        // shape and config hashes are checked by restoreChipCheckpoint.
-        if (ck.meta().workload != req.workload ||
-            ck.meta().seed != profile.seed)
-            return Error::invalidArgument(
-                "checkpoint " + req.ckptLoad + " was captured for "
-                "workload '" + ck.meta().workload + "' seed " +
-                std::to_string(ck.meta().seed) + ", not '" +
-                req.workload + "' seed " +
-                std::to_string(profile.seed));
-        model.beginRun(perCore);
-        if (Status st = chip::restoreChipCheckpoint(ck, model, walkers);
-            !st)
-            return st.error();
-        out.warmupSimulated = 0;
-    } else {
-        model.beginRun(perCore);
-        model.advance(warmupPerCore);
-        out.warmupSimulated =
-            warmupPerCore * static_cast<uint64_t>(nCores);
-        if (!req.ckptSave.empty()) {
-            ckpt::CheckpointMeta meta;
-            meta.configName = cfg.name;
-            meta.workload = req.workload;
-            meta.warmupInstrs = warmupPerCore;
-            meta.seed = profile.seed;
-            auto ck = chip::captureChipCheckpoint(model, walkers, meta);
-            if (Status st = ck.save(req.ckptSave); !st)
-                return st.error();
-        }
-    }
-
-    out.chip = model.measure(opts);
-    if (out.chip.timedOut)
-        return Error::timeout(
-            "run exceeded cycle budget of " +
-            std::to_string(req.maxCycles) + " cycles");
-
-    // Mirror the chip rollup into the single-run fields so scalar
-    // consumers (runReport, CLI summary) see chip-scope numbers.
-    out.run.cycles = out.chip.chipCycles;
-    out.run.instrs = out.chip.instrs;
-    power::EnergyModel energy(cfg);
-    for (const chip::ChipCoreOutcome& co : out.chip.cores) {
-        for (const auto& [name, value] : co.run.stats)
-            if (name != "cycles")
-                out.run.stats[name] += value;
-        power::PowerBreakdown pb = energy.evalCounters(co.run);
-        out.power.totalPj += pb.totalPj;
-        out.power.clockPj += pb.clockPj;
-        out.power.switchPj += pb.switchPj;
-        out.power.leakPj += pb.leakPj;
-        for (const auto& [comp, pj] : pb.perComponent)
-            out.power.perComponent[comp] += pj;
-    }
-    out.run.stats["cycles"] = out.run.cycles;
-    return out;
-}
-
-} // namespace
 
 Status
 RunRequest::validate() const
@@ -208,46 +87,40 @@ Service::runOne(const RunRequest& req) const
     if (req.seed != 0)
         profile.seed = common::splitSeed(profile.seed, req.seed);
 
-    // Multi-core requests take the chip path; cores == 1 continues on
-    // the bare CoreModel path below, untouched (byte-identity).
-    if (req.cores >= 2)
-        return runOneChip(req, std::move(cfg), std::move(profile));
+    // One body at every width: a 1-core chip is the bare core in
+    // measurement, telemetry and checkpoint bytes (tests/test_chip.cpp
+    // pins it), so cores == 1 needs no path of its own.
+    Expected<workloads::ChipSources> srcOr =
+        workloads::makeChipSources(profile, req.cores, req.smt);
+    if (!srcOr)
+        return srcOr.error();
+    const workloads::ChipSources& sources = srcOr.value();
 
-    std::vector<std::unique_ptr<workloads::CheckpointableSource>>
-        sources;
-    std::vector<workloads::InstrSource*> threads;
-    std::vector<workloads::CheckpointableSource*> walkers;
-    for (int t = 0; t < req.smt; ++t) {
-        Expected<std::unique_ptr<workloads::CheckpointableSource>> src =
-            workloads::makeSource(profile, t);
-        if (!src)
-            return src.error();
-        sources.push_back(std::move(src.value()));
-        threads.push_back(sources.back().get());
-        walkers.push_back(sources.back().get());
-    }
+    chip::ChipConfig chipCfg;
+    chipCfg.cores.assign(static_cast<size_t>(req.cores), cfg);
+    chipCfg.seed = profile.seed;
+    if (Status st = chipCfg.validate(); !st)
+        return st.error();
+    chip::ChipModel model(std::move(chipCfg));
 
     RunOutcome out;
     out.config = cfg;
     out.profile = profile;
+    out.cores = req.cores;
 
-    core::CoreModel model(cfg);
-    core::RunOptions opts;
-    opts.warmupInstrs = req.warmup * static_cast<uint64_t>(req.smt);
-    opts.measureInstrs = req.instrs;
-    opts.maxCycles = req.maxCycles;
-    opts.recorder = req.recorder;
-    opts.collectTimings = req.collectTimings;
-
+    const uint64_t warmupPerCore =
+        req.warmup * static_cast<uint64_t>(req.smt);
+    model.beginRun(sources.threads);
     if (!req.ckptLoad.empty()) {
         Expected<ckpt::Checkpoint> ckOr =
             ckpt::Checkpoint::load(req.ckptLoad);
         if (!ckOr)
             return ckOr.error();
         const ckpt::Checkpoint& ck = ckOr.value();
-        // The config hash and thread count are checked by restore();
-        // the workload identity must be checked here, since a walker
-        // state can be in-range for more than one static code.
+        // The chip/core shape, config hashes and thread counts are
+        // checked by restoreChipCheckpoint; the workload identity must
+        // be checked here, since a walker state can be in-range for
+        // more than one static code.
         if (ck.meta().workload != req.workload ||
             ck.meta().seed != profile.seed)
             return Error::invalidArgument(
@@ -256,33 +129,61 @@ Service::runOne(const RunRequest& req) const
                 std::to_string(ck.meta().seed) + ", not '" +
                 req.workload + "' seed " +
                 std::to_string(profile.seed));
-        model.beginRun(threads);
-        if (Status st = ck.restore(model, walkers); !st)
+        if (Status st =
+                chip::restoreChipCheckpoint(ck, model, sources.walkers);
+            !st)
             return st.error();
         out.warmupSimulated = 0;
     } else {
-        model.beginRun(threads);
-        model.advance(opts.warmupInstrs);
-        out.warmupSimulated = opts.warmupInstrs;
+        model.advance(warmupPerCore);
+        out.warmupSimulated =
+            warmupPerCore * static_cast<uint64_t>(req.cores);
         if (!req.ckptSave.empty()) {
             ckpt::CheckpointMeta meta;
             meta.configName = cfg.name;
             meta.workload = req.workload;
-            meta.warmupInstrs = opts.warmupInstrs;
+            meta.warmupInstrs = warmupPerCore;
             meta.seed = profile.seed;
-            auto ck = ckpt::Checkpoint::capture(model, walkers, meta);
+            auto ck = chip::captureChipCheckpoint(model, sources.walkers,
+                                                  meta);
             if (Status st = ck.save(req.ckptSave); !st)
                 return st.error();
         }
     }
 
-    out.run = model.measure(opts);
-    if (out.run.timedOut)
+    chip::ChipRunOptions opts;
+    opts.measureInstrs = req.instrs;
+    opts.maxCycles = req.maxCycles;
+    opts.recorder = req.recorder;
+    opts.collectTimings = req.collectTimings;
+    out.chip = model.measure(opts);
+    if (out.chip.timedOut)
         return Error::timeout(
             "run exceeded cycle budget of " +
             std::to_string(req.maxCycles) + " cycles");
+
+    // Roll the cores up into the single-run fields so scalar consumers
+    // (runReport, CLI summary) see chip-scope numbers at any width.
+    out.run.cycles = out.chip.chipCycles;
+    out.run.instrs = out.chip.instrs;
     power::EnergyModel energy(cfg);
-    out.power = energy.evalCounters(out.run);
+    for (const chip::ChipCoreOutcome& co : out.chip.cores) {
+        out.run.ops += co.run.ops;
+        out.run.flops += co.run.flops;
+        for (const auto& [name, value] : co.run.stats)
+            if (name != "cycles")
+                out.run.stats[name] += value;
+        power::PowerBreakdown pb = energy.evalCounters(co.run);
+        out.power.totalPj += pb.totalPj;
+        out.power.clockPj += pb.clockPj;
+        out.power.switchPj += pb.switchPj;
+        out.power.leakPj += pb.leakPj;
+        for (const auto& [comp, pj] : pb.perComponent)
+            out.power.perComponent[comp] += pj;
+    }
+    out.run.stats["cycles"] = out.run.cycles;
+    // Only 1-core requests collect timings (RunRequest::validate).
+    out.run.timings = std::move(out.chip.cores[0].run.timings);
     return out;
 }
 
@@ -401,10 +302,8 @@ Service::runReport(const RunRequest& req, const RunOutcome& outcome)
     // skipped the warmup simulation.
     report.meta().wallSeconds = 0.0;
     report.meta().hostMips = 0.0;
-    report.meta().simInstrs =
-        req.warmup * static_cast<uint64_t>(req.smt) *
-            static_cast<uint64_t>(outcome.cores) +
-        outcome.run.instrs;
+    report.meta().simInstrs = simulatedInstrs(
+        req.warmup, req.smt, outcome.cores, outcome.run.instrs);
     report.addScalar("ipc", outcome.ipc());
     report.addScalar("cycles",
                      static_cast<double>(outcome.run.cycles));

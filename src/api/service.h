@@ -61,11 +61,11 @@ struct RunRequest
     std::string config = "power10";
     std::string workload = "perlbench";
     int smt = 1;
-    /** Chip width: 1 = the bare CoreModel path (byte-identical to every
-        pre-chip release); >= 2 routes through chip::ChipModel with
-        shared-resource contention and the chip-scope governor. Every
-        core runs this config/workload/smt; thread t of core c draws
-        workload stream c*smt + t. */
+    /** Chip width. Every width runs through chip::ChipModel; a 1-core
+        chip is the bare core (byte-identical to every pre-chip
+        release), and >= 2 adds shared-resource contention and the
+        chip-scope governor. Every core runs this config/workload/smt;
+        thread t of core c draws workload stream c*smt + t. */
     int cores = 1;
     uint64_t instrs = 200000;
     uint64_t warmup = 50000; ///< per thread
@@ -89,19 +89,22 @@ struct RunRequest
 /** Outcome of one single run, with the resolved inputs attached. */
 struct RunOutcome
 {
-    /** The measured window. For cores >= 2 this holds the chip rollup
-        (cycles = chip effective cycles, instrs/stats summed over
-        cores), so scalar consumers see chip-scope numbers without
-        caring about width. */
+    /** The measured window as the chip rollup: cycles = chip
+        effective cycles, instrs/ops/flops/stats summed over cores
+        (at one core, exactly the bare core's window), so scalar
+        consumers see chip-scope numbers without caring about width.
+        Per-instruction timings come from core 0 (1-core only). */
     core::RunResult run;
-    /** Energy breakdown; summed across cores when cores >= 2. */
+    /** Energy breakdown, summed across cores. */
     power::PowerBreakdown power;
     core::CoreConfig config;               ///< resolved machine
     workloads::WorkloadProfile profile;    ///< resolved (seed derived)
     uint64_t warmupSimulated = 0; ///< 0 when restored from checkpoint
 
     int cores = 1;         ///< mirrors RunRequest::cores
-    /** Per-core outcomes + governor rollup; valid when cores >= 2. */
+    /** Per-core outcomes + governor rollup, filled at every width
+        (core 0's timings are moved into run). Outputs read it only
+        for cores >= 2, so 1-core reports keep their pre-chip bytes. */
     chip::ChipResult chip;
 
     double ipc() const { return run.ipc(); }

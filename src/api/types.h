@@ -128,6 +128,21 @@ struct ProgressEvent
 /** The one progress-callback signature (empty = no progress). */
 using ProgressFn = std::function<void(const ProgressEvent&)>;
 
+/**
+ * Instructions one run or shard simulated: the per-thread warmup on
+ * every (core, SMT thread) plus the measured window, which already
+ * sums across cores. The single-run report and the sweep fold both
+ * count through this, so their meta can never drift apart.
+ */
+inline uint64_t
+simulatedInstrs(uint64_t warmupPerThread, int smt, int cores,
+                uint64_t measured)
+{
+    return warmupPerThread * static_cast<uint64_t>(smt) *
+               static_cast<uint64_t>(cores) +
+           measured;
+}
+
 } // namespace p10ee::api
 
 #endif // P10EE_API_TYPES_H

@@ -1,10 +1,7 @@
 #include "ckpt/checkpoint.h"
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/hash.h"
-#include "common/serialize.h"
+#include "common/sealed_file.h"
 
 namespace p10ee::ckpt {
 
@@ -17,7 +14,9 @@ using common::Status;
 
 namespace {
 
-constexpr char kMagic[8] = {'P', '1', '0', 'C', 'K', 'P', 'T', '\0'};
+const common::SealedFile kFile(
+    "checkpoint", std::string_view("P10CKPT\0", 8),
+    {{"format", kFormatVersion}, {"state-schema", kStateSchemaVersion}});
 
 void
 serializeCacheParams(BinWriter& w, const core::CacheParams& p)
@@ -122,14 +121,6 @@ serializeConfig(BinWriter& w, const core::CoreConfig& c)
     w.b(c.store32B);
 }
 
-uint64_t
-checksumOf(const std::vector<uint8_t>& bytes, size_t n)
-{
-    Fnv1a h;
-    h.bytes(bytes.data(), n);
-    return h.digest();
-}
-
 } // namespace
 
 uint64_t
@@ -208,59 +199,25 @@ Checkpoint::restore(
 std::vector<uint8_t>
 Checkpoint::toBytes() const
 {
-    BinWriter w;
-    for (char c : kMagic)
-        w.u8(static_cast<uint8_t>(c));
-    w.u32(kFormatVersion);
-    w.u32(kStateSchemaVersion);
-    w.u64(cfgHash_);
-    w.str(meta_.configName);
-    w.str(meta_.workload);
-    w.u32(meta_.numThreads);
-    w.u64(meta_.warmupInstrs);
-    w.u64(meta_.seed);
-    w.u64(payload_.size());
-    std::vector<uint8_t> out = w.takeBytes();
-    out.insert(out.end(), payload_.begin(), payload_.end());
-    uint64_t sum = checksumOf(out, out.size());
-    BinWriter tail;
-    tail.u64(sum);
-    out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
-    return out;
+    return kFile.seal([&](BinWriter& w) {
+        w.u64(cfgHash_);
+        w.str(meta_.configName);
+        w.str(meta_.workload);
+        w.u32(meta_.numThreads);
+        w.u64(meta_.warmupInstrs);
+        w.u64(meta_.seed);
+        w.u64(payload_.size());
+        w.raw(payload_);
+    });
 }
 
 Expected<Checkpoint>
 Checkpoint::fromBytes(const uint8_t* data, size_t size)
 {
-    BinReader r(data, size);
-    for (char c : kMagic)
-        if (r.u8() != static_cast<uint8_t>(c) || r.failed())
-            return Error::invalidArgument(
-                "not a p10ee checkpoint (bad magic)");
-    uint32_t fmt = r.u32();
-    if (r.ok() && fmt != kFormatVersion)
-        return Error::invalidArgument(
-            "unsupported checkpoint format version " +
-            std::to_string(fmt) + " (expected " +
-            std::to_string(kFormatVersion) + ")");
-    uint32_t schema = r.u32();
-    if (r.ok() && schema != kStateSchemaVersion)
-        return Error::invalidArgument(
-            "checkpoint state-schema version " + std::to_string(schema) +
-            " does not match this simulator (expected " +
-            std::to_string(kStateSchemaVersion) + ")");
-
-    // Verify the trailing checksum before trusting any length field.
-    if (size < 8 || r.failed())
-        return Error::invalidArgument("checkpoint truncated");
-    BinReader tail(data + size - 8, 8);
-    uint64_t stored = tail.u64();
-    Fnv1a h;
-    h.bytes(data, size - 8);
-    if (h.digest() != stored)
-        return Error::invalidArgument(
-            "checkpoint corrupt (checksum mismatch)");
-
+    Expected<BinReader> body = kFile.open(data, size);
+    if (!body)
+        return body.error();
+    BinReader& r = body.value();
     Checkpoint ck;
     ck.cfgHash_ = r.u64();
     ck.meta_.configName = r.str();
@@ -268,16 +225,12 @@ Checkpoint::fromBytes(const uint8_t* data, size_t size)
     ck.meta_.numThreads = r.u32();
     ck.meta_.warmupInstrs = r.u64();
     ck.meta_.seed = r.u64();
-    uint64_t payloadSize = r.u64();
-    // The payload must account for exactly the bytes between the header
-    // and the checksum.
-    if (r.failed() || r.remaining() < 8 ||
-        payloadSize != r.remaining() - 8) {
+    const uint64_t payloadSize = r.u64();
+    // The payload must account for exactly the rest of the body.
+    if (r.failed() || payloadSize != r.remaining())
         return Error::invalidArgument(
             "checkpoint truncated or payload size mismatch");
-    }
-    ck.payload_.assign(data + r.position(),
-                       data + r.position() + payloadSize);
+    ck.payload_ = r.raw(payloadSize);
     return ck;
 }
 
@@ -290,34 +243,16 @@ Checkpoint::fromBytes(const std::vector<uint8_t>& bytes)
 Status
 Checkpoint::save(const std::string& path) const
 {
-    std::vector<uint8_t> bytes = toBytes();
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            return Error::notFound("cannot open for write: " + tmp);
-        f.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-        if (!f)
-            return Error::transient("short write: " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Error::transient("rename failed: " + path);
-    }
-    return common::okStatus();
+    return kFile.write(path, toBytes());
 }
 
 Expected<Checkpoint>
 Checkpoint::load(const std::string& path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return Error::notFound("cannot open checkpoint: " + path);
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(f)),
-        std::istreambuf_iterator<char>());
-    return fromBytes(bytes.data(), bytes.size());
+    Expected<std::vector<uint8_t>> bytes = kFile.read(path);
+    if (!bytes)
+        return bytes.error();
+    return fromBytes(bytes.value());
 }
 
 } // namespace p10ee::ckpt

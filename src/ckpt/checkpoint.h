@@ -11,7 +11,8 @@
  * measure() is bit-identical to advance(warmup) + measure(): the
  * round-trip tests diff the stats JSON byte for byte.
  *
- * File format (all little-endian, see common/serialize.h):
+ * File format (a common::SealedFile; all little-endian, see
+ * common/serialize.h):
  *
  *   magic "P10CKPT\0" | u32 format version | u32 state-schema version
  *   | u64 config hash | meta strings/ints | u64 payload size | payload

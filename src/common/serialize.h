@@ -76,6 +76,13 @@ class BinWriter
         buf_.insert(buf_.end(), p, p + s.size());
     }
 
+    /** Raw bytes, no length prefix (an embedded blob). */
+    void
+    raw(const std::vector<uint8_t>& v)
+    {
+        buf_.insert(buf_.end(), v.begin(), v.end());
+    }
+
     /** Length-prefixed (u64) vector of u64 values. */
     void
     u64Vec(const std::vector<uint64_t>& v)
@@ -196,17 +203,18 @@ class BinReader
         return true;
     }
 
-    /** Advance past @p n bytes the caller consumes out-of-band (e.g.
-        an embedded blob copied wholesale); underflow latches fail. */
-    bool
-    skip(size_t n)
+    /** The next @p n bytes (an embedded blob), validated against the
+        payload end before any allocation; underflow latches fail. */
+    std::vector<uint8_t>
+    raw(size_t n)
     {
         if (fail_ || n > size_ - pos_) {
             fail_ = true;
-            return false;
+            return {};
         }
+        std::vector<uint8_t> v(data_ + pos_, data_ + pos_ + n);
         pos_ += n;
-        return true;
+        return v;
     }
 
     size_t remaining() const { return size_ - pos_; }

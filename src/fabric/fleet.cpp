@@ -349,27 +349,13 @@ void
 FleetRunner::runLocally(const std::vector<uint64_t>& indices)
 {
     // The degraded path IS the single-process path: the same
-    // SweepRunner::runShard, the same cache discipline, so results are
-    // indistinguishable from fleet-executed ones in the merge.
+    // SweepRunner::runCached, so results are indistinguishable from
+    // fleet-executed ones in the merge.
     sweep::SweepRunner runner(spec_);
     sweep::ThreadPool pool(opts_.localJobs);
     pool.parallelFor(indices.size(), [&](uint64_t i) {
         const uint64_t idx = indices[i];
-        const sweep::ShardSpec& shard = shards_[idx];
-        api::ShardResult res;
-        bool hit = false;
-        if (cache_) {
-            if (auto cached = cache_->lookup(spec_, shard)) {
-                res = std::move(*cached);
-                res.fromCache = true;
-                hit = true;
-            }
-        }
-        if (!hit) {
-            res = runner.runShard(shard);
-            if (cache_)
-                (void)cache_->insert(spec_, shard, res);
-        }
+        api::ShardResult res = runner.runCached(shards_[idx], cache_.get());
         const api::ShardResult copy = res;
         {
             std::lock_guard<std::mutex> lock(mu_);

@@ -1,14 +1,12 @@
 #include "sweep/cache.h"
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "ckpt/checkpoint.h"
 #include "common/assert.h"
 #include "common/hash.h"
-#include "common/serialize.h"
+#include "common/sealed_file.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -18,12 +16,11 @@ using common::BinReader;
 using common::BinWriter;
 using common::Error;
 using common::ErrorCode;
+using common::Expected;
 using common::Fnv1a;
 using common::Status;
 
 namespace {
-
-constexpr char kMagic[8] = {'P', '1', '0', 'S', 'H', 'R', 'D', '\0'};
 
 void
 serializeResult(BinWriter& w, const ShardResult& s)
@@ -121,32 +118,23 @@ deserializeResult(BinReader& r)
     return s;
 }
 
+const common::SealedFile kFile(
+    "cache entry", std::string_view("P10SHRD\0", 8),
+    {{"format", kCacheFormatVersion},
+     {"state-schema", ckpt::kStateSchemaVersion}});
+
 /**
- * Container validation shared by every entry consumer: magic, versions,
- * stored key, whole-file checksum. On success returns the [offset, len)
- * of the body between the header and the trailing checksum.
+ * Container validation shared by every entry consumer: the sealed-file
+ * checks, then the stored key. On success returns a reader over the
+ * serialized result that follows the key.
  */
-std::optional<std::pair<size_t, size_t>>
-validateContainer(const std::vector<uint8_t>& bytes, uint64_t key)
+std::optional<BinReader>
+openEntry(const std::vector<uint8_t>& bytes, uint64_t key)
 {
-    BinReader r(bytes);
-    for (char c : kMagic)
-        if (r.u8() != static_cast<uint8_t>(c))
-            return std::nullopt;
-    if (r.u32() != kCacheFormatVersion)
+    Expected<BinReader> body = kFile.open(bytes.data(), bytes.size());
+    if (!body || body.value().u64() != key || body.value().failed())
         return std::nullopt;
-    if (r.u32() != ckpt::kStateSchemaVersion)
-        return std::nullopt;
-    if (r.u64() != key)
-        return std::nullopt;
-    if (r.failed() || bytes.size() < r.position() + 8)
-        return std::nullopt;
-    BinReader tail(bytes.data() + bytes.size() - 8, 8);
-    Fnv1a h;
-    h.bytes(bytes.data(), bytes.size() - 8);
-    if (h.digest() != tail.u64())
-        return std::nullopt;
-    return std::make_pair(r.position(), bytes.size() - r.position() - 8);
+    return body.value();
 }
 
 } // namespace
@@ -215,34 +203,22 @@ std::vector<uint8_t>
 ShardCache::encodeEntry(const SweepSpec& spec, const ShardSpec& shard,
                         const ShardResult& result)
 {
-    uint64_t key = shardKey(spec, shard);
-    BinWriter w;
-    for (char c : kMagic)
-        w.u8(static_cast<uint8_t>(c));
-    w.u32(kCacheFormatVersion);
-    w.u32(ckpt::kStateSchemaVersion);
-    w.u64(key);
-    serializeResult(w, result);
-    std::vector<uint8_t> bytes = w.takeBytes();
-    Fnv1a h;
-    h.bytes(bytes.data(), bytes.size());
-    BinWriter tail;
-    tail.u64(h.digest());
-    bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
-    return bytes;
+    const uint64_t key = shardKey(spec, shard);
+    return kFile.seal([&](BinWriter& w) {
+        w.u64(key);
+        serializeResult(w, result);
+    });
 }
 
 std::optional<ShardResult>
 ShardCache::decodeEntry(const std::vector<uint8_t>& bytes,
                         const SweepSpec& spec, const ShardSpec& shard)
 {
-    uint64_t key = shardKey(spec, shard);
-    auto span = validateContainer(bytes, key);
-    if (!span)
+    std::optional<BinReader> body = openEntry(bytes, shardKey(spec, shard));
+    if (!body)
         return std::nullopt;
-    BinReader body(bytes.data() + span->first, span->second);
-    auto res = deserializeResult(body);
-    if (!res || body.remaining() != 0)
+    auto res = deserializeResult(*body);
+    if (!res || body->remaining() != 0)
         return std::nullopt;
     // Identity paranoia: a 64-bit key collision must not substitute one
     // shard's result for another's.
@@ -254,46 +230,20 @@ ShardCache::decodeEntry(const std::vector<uint8_t>& bytes,
 std::optional<std::vector<uint8_t>>
 ShardCache::readBytes(uint64_t key) const
 {
-    std::ifstream f(entryPath(key), std::ios::binary);
-    if (!f)
+    Expected<std::vector<uint8_t>> bytes = kFile.read(entryPath(key));
+    if (!bytes || !openEntry(bytes.value(), key))
         return std::nullopt;
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                               std::istreambuf_iterator<char>());
-    if (!validateContainer(bytes, key))
-        return std::nullopt;
-    return bytes;
+    return std::move(bytes.value());
 }
 
 Status
 ShardCache::writeBytes(uint64_t key,
                        const std::vector<uint8_t>& bytes) const
 {
-    if (!validateContainer(bytes, key))
+    if (!openEntry(bytes, key))
         return Error::invalidArgument(
             "cache entry bytes fail container validation");
-
-    std::string path = entryPath(key);
-    // Unique temp names within the process: concurrent writers (worker
-    // threads serving cache_put for the same key) must not collide on
-    // one temp file; across processes the rename target is
-    // byte-identical anyway.
-    static std::atomic<uint64_t> tmpSerial{0};
-    std::string tmp =
-        path + ".tmp" + std::to_string(tmpSerial.fetch_add(1));
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            return Error::transient("cannot write cache entry: " + tmp);
-        f.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-        if (!f)
-            return Error::transient("short write: " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Error::transient("cache entry rename failed: " + path);
-    }
-    return common::okStatus();
+    return kFile.write(entryPath(key), bytes);
 }
 
 std::optional<ShardResult>

@@ -20,11 +20,13 @@
  * results or fail a sweep. Corrupt, truncated, stale-version or
  * colliding entries are silently treated as misses (the shard is
  * simulated again and the entry rewritten); unwritable inserts degrade
- * to not caching. Entries are written to a temp file and renamed, so
- * concurrent runs sharing a cache directory never observe partial
- * entries. Failed shards are cached too — a deterministic failure
- * (timeout, exhausted retries) reproduces identically, so re-simulating
- * it would waste the same cycles to learn the same thing.
+ * to not caching. An entry is a common::SealedFile, written to a temp
+ * file named by process id and counter and then renamed, so
+ * concurrent runs sharing a cache directory — threads or processes —
+ * never share a temp file or observe partial entries. Failed shards
+ * are cached too — a deterministic failure (timeout, exhausted
+ * retries) reproduces identically, so re-simulating it would waste the
+ * same cycles to learn the same thing.
  */
 
 #ifndef P10EE_SWEEP_CACHE_H

@@ -67,6 +67,21 @@ shardReportPath(const std::string& dir, const ShardSpec& shard)
     return dir + "/" + flat + ".json";
 }
 
+/** The '/'-separated fields of a shard key
+    ("config/workload/smtN/seedK", plus "/cN" for chip shards). */
+std::vector<std::string>
+keyFields(const std::string& key)
+{
+    std::vector<std::string> parts;
+    size_t start = 0;
+    for (size_t pos = 0; pos <= key.size(); ++pos)
+        if (pos == key.size() || key[pos] == '/') {
+            parts.push_back(key.substr(start, pos - start));
+            start = pos + 1;
+        }
+    return parts;
+}
+
 } // namespace
 
 ShardResult
@@ -120,38 +135,18 @@ SweepRunner::runShard(const ShardSpec& shard) const
             continue;
         }
 
-        // One source per (core, SMT thread). Thread ids are flattened
-        // as core * smt + t so a 1-core shard draws ids 0..smt-1 —
-        // exactly the historical bare-core streams — and every extra
-        // core gets its own deterministic replicas.
         const int nCores = res.cores;
-        std::vector<std::unique_ptr<workloads::CheckpointableSource>>
-            sources;
-        std::vector<std::vector<workloads::InstrSource*>> perCore(
-            static_cast<size_t>(nCores));
-        bool sourceFailed = false;
-        for (int c = 0; c < nCores && !sourceFailed; ++c) {
-            for (int t = 0; t < shard.smt; ++t) {
-                auto src = workloads::makeSource(shard.profile,
-                                                 c * shard.smt + t);
-                if (!src) {
-                    // A workload whose backing file vanished or changed
-                    // between expansion and execution is a recorded
-                    // shard failure, not a crash — the sweep stays
-                    // index-complete.
-                    res.error = Error(src.error().code,
-                                      "shard " + res.key + ": " +
-                                          src.error().message);
-                    sourceFailed = true;
-                    break;
-                }
-                sources.push_back(std::move(src.value()));
-                perCore[static_cast<size_t>(c)].push_back(
-                    sources.back().get());
-            }
-        }
-        if (sourceFailed)
+        Expected<workloads::ChipSources> sources =
+            workloads::makeChipSources(shard.profile, nCores, shard.smt);
+        if (!sources) {
+            // A workload whose backing file vanished or changed between
+            // expansion and execution is a recorded shard failure, not
+            // a crash — the sweep stays index-complete.
+            res.error = Error(sources.error().code,
+                              "shard " + res.key + ": " +
+                                  sources.error().message);
             break;
+        }
 
         chip::ChipConfig chipCfg;
         chipCfg.cores.assign(static_cast<size_t>(nCores), shard.config);
@@ -170,17 +165,14 @@ SweepRunner::runShard(const ShardSpec& shard) const
             opts.recorder = rec.get();
         }
 
-        // Coarse core-loop phase timing behind a sampling gate: every
+        // Coarse core-loop timing behind a sampling gate: every
         // kPhaseSampleEvery-th simulated shard (process-wide) observes
-        // how the wall time splits between the timing loop and the
-        // energy evaluation. Sampled so the steady state costs two
-        // clock reads per ~16 shards; the histograms are telemetry
-        // only (metrics sidecars / the `metrics` request) and never
-        // touch the shard result.
+        // the wall time of the timing loop. Sampled so the steady state
+        // costs two clock reads per ~16 shards; the histogram is
+        // telemetry only (metrics sidecars / the `metrics` request) and
+        // never touches the shard result.
         static const obs::MetricId simPhaseUs =
             obs::metrics().histogram("sweep.phase.sim_us");
-        static const obs::MetricId powerPhaseUs =
-            obs::metrics().histogram("sweep.phase.power_us");
         static std::atomic<uint64_t> phaseTick{0};
         constexpr uint64_t kPhaseSampleEvery = 16;
         const bool phaseSampled =
@@ -189,28 +181,17 @@ SweepRunner::runShard(const ShardSpec& shard) const
             0;
         const auto simStart = std::chrono::steady_clock::now();
 
-        model.beginRun(perCore);
+        model.beginRun(sources.value().threads);
         model.advance(spec_.warmup * static_cast<uint64_t>(shard.smt));
         const chip::ChipResult run = model.measure(opts);
-        const auto simEnd = std::chrono::steady_clock::now();
-        if (phaseSampled) {
+        if (phaseSampled)
             obs::metrics().observe(
                 simPhaseUs,
                 static_cast<uint64_t>(
                     std::chrono::duration_cast<
-                        std::chrono::microseconds>(simEnd - simStart)
-                        .count()));
-            // The energy rollup now happens inside the chip's measure
-            // (per-core, per-epoch); the power phase keeps its
-            // histogram but records the residual fold only.
-            obs::metrics().observe(
-                powerPhaseUs,
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
                         std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - simEnd)
+                        std::chrono::steady_clock::now() - simStart)
                         .count()));
-        }
         if (run.timedOut) {
             // A cycle-budget overrun is deterministic — retrying would
             // reproduce it, so it is recorded immediately.
@@ -296,6 +277,24 @@ SweepRunner::runShard(const ShardSpec& shard) const
     return res;
 }
 
+ShardResult
+SweepRunner::runCached(const ShardSpec& shard,
+                       const ShardCache* cache) const
+{
+    if (cache) {
+        if (std::optional<ShardResult> hit = cache->lookup(spec_, shard)) {
+            hit->fromCache = true;
+            return std::move(*hit);
+        }
+    }
+    ShardResult res = runShard(shard);
+    // Best-effort: an unwritable cache degrades to not caching; it must
+    // never fail the sweep.
+    if (cache)
+        (void)cache->insert(spec_, shard, res);
+    return res;
+}
+
 Expected<SweepResult>
 SweepRunner::run(int jobs)
 {
@@ -340,7 +339,6 @@ SweepRunner::run(int jobs)
     ThreadPool pool(jobs);
     pool.parallelFor(shards.size(), [&](uint64_t i) {
         ShardResult shard;
-        bool hit = false;
         if (cancel != nullptr &&
             cancel->load(std::memory_order_relaxed)) {
             // Cooperative cancellation: record without simulating. The
@@ -351,23 +349,7 @@ SweepRunner::run(int jobs)
             shard.error = Error::cancelled(
                 "shard " + shard.key + ": sweep cancelled");
         } else {
-            if (cache) {
-                if (auto cached = cache->lookup(spec_, shards[i])) {
-                    shard = std::move(*cached);
-                    shard.fromCache = true;
-                    hit = true;
-                }
-            }
-            if (!hit) {
-                shard = runShard(shards[i]);
-                if (cache) {
-                    // Best-effort: an unwritable cache degrades to not
-                    // caching; it must never fail the sweep.
-                    Status st =
-                        cache->insert(spec_, shards[i], shard);
-                    (void)st;
-                }
-            }
+            shard = runCached(shards[i], cache.get());
         }
         if (onProgress) {
             api::ProgressEvent ev;
@@ -409,14 +391,10 @@ SweepRunner::fold(const SweepSpec& spec,
             ++result.cancelledShards;
         if (s.ok) {
             ++result.okCount;
-            // Warmup is simulated once per (core, SMT thread); the
-            // measured instrs already sum across cores.
             const ShardSpec& shard = shards[s.index];
-            result.simInstrs +=
-                s.instrs + spec.warmup *
-                               static_cast<uint64_t>(shard.smt) *
-                               static_cast<uint64_t>(
-                                   std::max(shard.cores, 1));
+            result.simInstrs += api::simulatedInstrs(
+                spec.warmup, shard.smt, std::max(shard.cores, 1),
+                s.instrs);
         } else {
             ++result.failed;
         }
@@ -455,15 +433,8 @@ SweepRunner::merge(const SweepSpec& spec, const SweepResult& result,
     t.header({"shard", "config", "workload", "smt", "seed", "status",
               "retries", "cycles", "ipc", "power_w"});
     for (const ShardResult& s : result.shards) {
-        // key = "config/workload/smtN/seedK" — split it back into the
-        // table's axis columns.
-        std::vector<std::string> parts;
-        size_t start = 0;
-        for (size_t pos = 0; pos <= s.key.size(); ++pos)
-            if (pos == s.key.size() || s.key[pos] == '/') {
-                parts.push_back(s.key.substr(start, pos - start));
-                start = pos + 1;
-            }
+        // Split the key back into the table's axis columns.
+        const std::vector<std::string> parts = keyFields(s.key);
         const std::string config = parts.size() > 0 ? parts[0] : "";
         const std::string workload = parts.size() > 1 ? parts[1] : "";
         const std::string smt =
@@ -497,13 +468,7 @@ SweepRunner::merge(const SweepSpec& spec, const SweepResult& result,
         for (const ShardResult& s : result.shards) {
             if (s.traceName.empty())
                 continue;
-            std::vector<std::string> parts;
-            size_t start = 0;
-            for (size_t pos = 0; pos <= s.key.size(); ++pos)
-                if (pos == s.key.size() || s.key[pos] == '/') {
-                    parts.push_back(s.key.substr(start, pos - start));
-                    start = pos + 1;
-                }
+            const std::vector<std::string> parts = keyFields(s.key);
             const std::string workload =
                 parts.size() > 1 ? parts[1] : "";
             bool seen = false;

@@ -49,6 +49,8 @@ namespace p10ee::sweep {
  */
 using ShardResult = api::ShardResult;
 
+class ShardCache;
+
 /** All shard outcomes plus fold-level aggregates, in shard-index order. */
 struct SweepResult
 {
@@ -159,11 +161,21 @@ class SweepRunner
 
     /**
      * Run one shard in isolation. Public because remote execution
-     * (daemon shard jobs, fabric degraded-mode fallback) runs single
-     * shards outside the pool; the result is a pure function of
-     * (spec, shard), so where it runs cannot matter.
+     * (daemon shard jobs) runs single shards outside the pool; the
+     * result is a pure function of (spec, shard), so where it runs
+     * cannot matter.
      */
     ShardResult runShard(const ShardSpec& shard) const;
+
+    /**
+     * One shard through the cache: a hit replays the cached result
+     * (fromCache set), a miss runs runShard() and inserts its result,
+     * best-effort. @p cache may be null (caching off). The local pool
+     * and the fleet's in-process fallback both execute shards through
+     * this, so their cache discipline cannot drift apart.
+     */
+    ShardResult runCached(const ShardSpec& shard,
+                          const ShardCache* cache) const;
 
   private:
     SweepSpec spec_;

@@ -1,11 +1,9 @@
 #include "trace/container.h"
 
-#include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/assert.h"
+#include "common/sealed_file.h"
 
 namespace p10ee::trace {
 
@@ -18,7 +16,8 @@ using common::Status;
 
 namespace {
 
-constexpr char kMagic[8] = {'P', '1', '0', 'T', 'R', 'A', 'C', 'E'};
+const common::SealedFile kFile("trace", "P10TRACE",
+                               {{"format", kFormatVersion}});
 
 /** Canonical record size: the raw encoding is exactly this per instr. */
 constexpr size_t kCanonicalBytes = 43;
@@ -407,58 +406,29 @@ TraceData::verifyContent() const
 std::vector<uint8_t>
 TraceData::toBytes() const
 {
-    BinWriter w;
-    for (char c : kMagic)
-        w.u8(static_cast<uint8_t>(c));
-    w.u32(kFormatVersion);
-    w.str(meta_.name);
-    w.str(meta_.dialect);
-    w.str(meta_.source);
-    w.u64(instrCount_);
-    w.u64(contentHash_);
-    w.u8(encoding_);
-    w.u32(static_cast<uint32_t>(chunks_.size()));
-    std::vector<uint8_t> out = w.takeBytes();
-    for (const Chunk& c : chunks_) {
-        BinWriter ch;
-        ch.u32(c.count);
-        ch.u64(c.bytes.size());
-        out.insert(out.end(), ch.bytes().begin(), ch.bytes().end());
-        out.insert(out.end(), c.bytes.begin(), c.bytes.end());
-    }
-    Fnv1a h;
-    h.bytes(out.data(), out.size());
-    BinWriter tail;
-    tail.u64(h.digest());
-    out.insert(out.end(), tail.bytes().begin(), tail.bytes().end());
-    return out;
+    return kFile.seal([&](BinWriter& w) {
+        w.str(meta_.name);
+        w.str(meta_.dialect);
+        w.str(meta_.source);
+        w.u64(instrCount_);
+        w.u64(contentHash_);
+        w.u8(encoding_);
+        w.u32(static_cast<uint32_t>(chunks_.size()));
+        for (const Chunk& c : chunks_) {
+            w.u32(c.count);
+            w.u64(c.bytes.size());
+            w.raw(c.bytes);
+        }
+    });
 }
 
 Expected<TraceData>
 TraceData::fromBytes(const uint8_t* data, size_t size)
 {
-    BinReader r(data, size);
-    for (char c : kMagic)
-        if (r.u8() != static_cast<uint8_t>(c) || r.failed())
-            return Error::invalidArgument(
-                "not a p10ee trace (bad magic)");
-    const uint32_t fmt = r.u32();
-    if (r.ok() && fmt != kFormatVersion)
-        return Error::invalidArgument(
-            "unsupported trace format version " + std::to_string(fmt) +
-            " (expected " + std::to_string(kFormatVersion) + ")");
-
-    // Verify the trailing checksum before trusting any length field.
-    if (size < 8 || r.failed())
-        return Error::invalidArgument("trace truncated");
-    BinReader tail(data + size - 8, 8);
-    const uint64_t stored = tail.u64();
-    Fnv1a file;
-    file.bytes(data, size - 8);
-    if (file.digest() != stored)
-        return Error::invalidArgument(
-            "trace corrupt (checksum mismatch)");
-
+    Expected<BinReader> body = kFile.open(data, size);
+    if (!body)
+        return body.error();
+    BinReader& r = body.value();
     TraceData t;
     t.meta_.name = r.str();
     t.meta_.dialect = r.str();
@@ -497,8 +467,7 @@ TraceData::fromBytes(const uint8_t* data, size_t size)
         Chunk c;
         c.count = r.u32();
         const uint64_t nbytes = r.u64();
-        if (r.failed() || r.remaining() < 8 ||
-            nbytes > r.remaining() - 8)
+        if (r.failed() || nbytes > r.remaining())
             return Error::invalidArgument(
                 "trace truncated inside chunk " + std::to_string(i));
         if (c.count == 0 ||
@@ -508,15 +477,13 @@ TraceData::fromBytes(const uint8_t* data, size_t size)
                 ": record count inconsistent with its payload size");
         c.firstIndex = total;
         total += c.count;
-        const size_t at = r.position();
-        r.skip(static_cast<size_t>(nbytes));
-        c.bytes.assign(data + at, data + at + nbytes);
+        c.bytes = r.raw(static_cast<size_t>(nbytes));
         t.chunks_.push_back(std::move(c));
     }
     if (total != t.instrCount_)
         return Error::invalidArgument(
             "trace instruction count does not match its chunks");
-    if (r.failed() || r.remaining() != 8)
+    if (r.remaining() != 0)
         return Error::invalidArgument(
             "trace has trailing bytes after the last chunk");
     return t;
@@ -531,38 +498,16 @@ TraceData::fromBytes(const std::vector<uint8_t>& bytes)
 Status
 TraceData::save(const std::string& path) const
 {
-    const std::vector<uint8_t> bytes = toBytes();
-    // Unique temp names within the process: concurrent writers to one
-    // path must not collide on a temp file (the rename target is
-    // byte-identical for identical traces anyway).
-    static std::atomic<uint64_t> tmpSerial{0};
-    const std::string tmp =
-        path + ".tmp" + std::to_string(tmpSerial.fetch_add(1));
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f)
-            return Error::notFound("cannot open for write: " + tmp);
-        f.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-        if (!f)
-            return Error::transient("short write: " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Error::transient("rename failed: " + path);
-    }
-    return common::okStatus();
+    return kFile.write(path, toBytes());
 }
 
 Expected<TraceData>
 TraceData::load(const std::string& path)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
-        return Error::notFound("cannot open trace: " + path);
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                               std::istreambuf_iterator<char>());
-    Expected<TraceData> t = fromBytes(bytes.data(), bytes.size());
+    Expected<std::vector<uint8_t>> bytes = kFile.read(path);
+    if (!bytes)
+        return bytes.error();
+    Expected<TraceData> t = fromBytes(bytes.value());
     if (!t)
         return Error(t.error().code, path + ": " + t.error().message);
     return t;

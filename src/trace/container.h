@@ -5,8 +5,9 @@
  *
  * The trace ingestion frontend stores captured `isa::TraceInstr`
  * streams the same way the checkpoint subsystem stores simulator
- * state: a magic tag, a format version, metadata, a payload, and a
- * trailing FNV-1a checksum over everything before it. Every truncated,
+ * state, as a common::SealedFile: a magic tag, a format version,
+ * metadata, a payload, and a trailing FNV-1a checksum over everything
+ * before it. Every truncated,
  * bit-flipped, stale or fabricated file is a structured
  * `common::Expected` error — never UB, never a crash (the fuzz suite
  * in tests/test_trace.cpp holds this bar under ASan/UBSan).

@@ -114,4 +114,26 @@ makeSource(const WorkloadProfile& profile, int threadId)
     return make(profile, threadId);
 }
 
+Expected<ChipSources>
+makeChipSources(const WorkloadProfile& profile, int cores, int smt)
+{
+    ChipSources s;
+    s.threads.resize(static_cast<size_t>(cores));
+    s.walkers.resize(static_cast<size_t>(cores));
+    for (int c = 0; c < cores; ++c) {
+        for (int t = 0; t < smt; ++t) {
+            Expected<std::unique_ptr<CheckpointableSource>> src =
+                makeSource(profile, c * smt + t);
+            if (!src)
+                return src.error();
+            s.own.push_back(std::move(src.value()));
+            s.threads[static_cast<size_t>(c)].push_back(
+                s.own.back().get());
+            s.walkers[static_cast<size_t>(c)].push_back(
+                s.own.back().get());
+        }
+    }
+    return s;
+}
+
 } // namespace p10ee::workloads

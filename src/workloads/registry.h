@@ -18,7 +18,9 @@
  *
  *  - `makeSource(profile, threadId)` constructs the checkpointable
  *    instruction source the profile describes: a SyntheticWorkload for
- *    plain profiles, the owning frontend's walker for bound ones.
+ *    plain profiles, the owning frontend's walker for bound ones;
+ *    `makeChipSources(profile, cores, smt)` builds every source of a
+ *    chip run from it.
  *
  * Frontends register imperatively (`registerFrontend`) from an
  * idempotent hook the consuming layer calls (static self-registration
@@ -92,6 +94,25 @@ resolveWorkload(const std::string& name);
  */
 common::Expected<std::unique_ptr<CheckpointableSource>>
 makeSource(const WorkloadProfile& profile, int threadId);
+
+/** The sources of one chip, owned, with per-core views of them. */
+struct ChipSources
+{
+    std::vector<std::unique_ptr<CheckpointableSource>> own;
+    /** threads[c][t] and walkers[c][t] are thread t of core c. */
+    std::vector<std::vector<InstrSource*>> threads;
+    std::vector<std::vector<CheckpointableSource*>> walkers;
+};
+
+/**
+ * One source per (core, SMT thread) of a chip running @p profile on
+ * every core. Thread t of core c draws stream c * smt + t, so a 1-core
+ * chip draws exactly the bare core's streams 0..smt-1 and every extra
+ * core gets its own deterministic replicas. The first source that
+ * fails to build is the error.
+ */
+common::Expected<ChipSources>
+makeChipSources(const WorkloadProfile& profile, int cores, int smt);
 
 } // namespace p10ee::workloads
 

@@ -77,37 +77,6 @@ resolveProfile(const std::string& name)
     return profOr.value();
 }
 
-/** Sources for one chip: thread t of core c draws stream c*smt + t,
-    matching the sweep runner's and runOne's discipline. */
-struct ChipBundle
-{
-    std::vector<std::unique_ptr<workloads::CheckpointableSource>> own;
-    std::vector<std::vector<workloads::InstrSource*>> threads;
-    std::vector<std::vector<workloads::CheckpointableSource*>> walkers;
-};
-
-ChipBundle
-makeChipSources(const workloads::WorkloadProfile& profile, int cores,
-                int smt)
-{
-    ChipBundle b;
-    b.threads.resize(static_cast<size_t>(cores));
-    b.walkers.resize(static_cast<size_t>(cores));
-    for (int c = 0; c < cores; ++c) {
-        for (int t = 0; t < smt; ++t) {
-            auto src = workloads::makeSource(profile, c * smt + t);
-            EXPECT_TRUE(src.ok())
-                << (src.ok() ? "" : src.error().str());
-            b.own.push_back(std::move(src.value()));
-            b.threads[static_cast<size_t>(c)].push_back(
-                b.own.back().get());
-            b.walkers[static_cast<size_t>(c)].push_back(
-                b.own.back().get());
-        }
-    }
-    return b;
-}
-
 chip::ChipConfig
 homogeneousChip(const core::CoreConfig& cfg, int cores)
 {
@@ -197,8 +166,8 @@ constexpr uint64_t kMeasure = 3000;
 /** The bare-core reference window: split-phase, exactly what a 1-core
     chip must reproduce. */
 chip::ChipResult
-chipMeasure(const core::CoreConfig& cfg, ChipBundle& b, int cores,
-            int smt, int coreJobs = 1,
+chipMeasure(const core::CoreConfig& cfg, workloads::ChipSources& b,
+            int cores, int smt, int coreJobs = 1,
             obs::TimeSeriesRecorder* rec = nullptr)
 {
     chip::ChipModel model(homogeneousChip(cfg, cores));
@@ -230,7 +199,7 @@ TEST(ChipDifferential, OneCoreMatchesBareCoreAcrossConfigsAndWorkloads)
                 const workloads::WorkloadProfile profile =
                     resolveProfile(workload);
 
-                ChipBundle bare = makeChipSources(profile, 1, smt);
+                auto bare = workloads::makeChipSources(profile, 1, smt).value();
                 core::CoreModel model(cfg);
                 model.beginRun(bare.threads[0]);
                 model.advance(kWarmupPerThread *
@@ -240,7 +209,7 @@ TEST(ChipDifferential, OneCoreMatchesBareCoreAcrossConfigsAndWorkloads)
                 const std::string expect =
                     runFingerprint(model.measure(opts));
 
-                ChipBundle b = makeChipSources(profile, 1, smt);
+                auto b = workloads::makeChipSources(profile, 1, smt).value();
                 const chip::ChipResult chip =
                     chipMeasure(cfg, b, 1, smt);
                 EXPECT_EQ(runFingerprint(chip.cores[0].run), expect);
@@ -258,7 +227,7 @@ TEST(ChipDifferential, OneCoreTelemetryMatchesBareCore)
     const workloads::WorkloadProfile profile = resolveProfile("xz");
 
     obs::TimeSeriesRecorder bareRec(256);
-    ChipBundle bare = makeChipSources(profile, 1, 2);
+    auto bare = workloads::makeChipSources(profile, 1, 2).value();
     core::CoreModel model(cfg);
     model.beginRun(bare.threads[0]);
     model.advance(kWarmupPerThread * 2);
@@ -268,7 +237,7 @@ TEST(ChipDifferential, OneCoreTelemetryMatchesBareCore)
     (void)model.measure(opts);
 
     obs::TimeSeriesRecorder chipRec(256);
-    ChipBundle b = makeChipSources(profile, 1, 2);
+    auto b = workloads::makeChipSources(profile, 1, 2).value();
     (void)chipMeasure(cfg, b, 1, 2, 1, &chipRec);
     EXPECT_EQ(recorderFingerprint(chipRec),
               recorderFingerprint(bareRec));
@@ -279,7 +248,7 @@ TEST(ChipDifferential, OneCoreCheckpointBytesMatchBareCore)
     const core::CoreConfig cfg = core::power10();
     const workloads::WorkloadProfile profile = resolveProfile("xz");
 
-    ChipBundle bare = makeChipSources(profile, 1, 2);
+    auto bare = workloads::makeChipSources(profile, 1, 2).value();
     core::CoreModel model(cfg);
     model.beginRun(bare.threads[0]);
     model.advance(kWarmupPerThread * 2);
@@ -292,7 +261,7 @@ TEST(ChipDifferential, OneCoreCheckpointBytesMatchBareCore)
         ckpt::Checkpoint::capture(model, bare.walkers[0], meta)
             .toBytes();
 
-    ChipBundle b = makeChipSources(profile, 1, 2);
+    auto b = workloads::makeChipSources(profile, 1, 2).value();
     chip::ChipModel chip(homogeneousChip(cfg, 1));
     chip.beginRun(b.threads);
     chip.advance(kWarmupPerThread * 2);
@@ -340,14 +309,14 @@ TEST(ChipDeterminism, CoreJobsDoesNotChangeResultsOrTelemetry)
     const workloads::WorkloadProfile profile = resolveProfile("xz");
 
     obs::TimeSeriesRecorder recSerial(256);
-    ChipBundle a = makeChipSources(profile, 4, 2);
+    auto a = workloads::makeChipSources(profile, 4, 2).value();
     const std::string serial = chipFingerprint(
         chipMeasure(cfg, a, 4, 2, 1, &recSerial));
 
     for (int jobs : {2, 4, 7}) {
         SCOPED_TRACE("coreJobs=" + std::to_string(jobs));
         obs::TimeSeriesRecorder rec(256);
-        ChipBundle b = makeChipSources(profile, 4, 2);
+        auto b = workloads::makeChipSources(profile, 4, 2).value();
         EXPECT_EQ(chipFingerprint(chipMeasure(cfg, b, 4, 2, jobs, &rec)),
                   serial);
         EXPECT_EQ(recorderFingerprint(rec),
@@ -589,14 +558,14 @@ TEST(ContentionProps, CoRunnerNeverRaisesCoreIpc)
         const workloads::WorkloadProfile profile =
             resolveProfile(workload);
 
-        ChipBundle solo = makeChipSources(profile, 1, 1);
+        auto solo = workloads::makeChipSources(profile, 1, 1).value();
         const chip::ChipResult alone = chipMeasure(cfg, solo, 1, 1);
 
-        ChipBundle duo = makeChipSources(profile, 2, 1);
+        auto duo = workloads::makeChipSources(profile, 2, 1).value();
         const chip::ChipResult shared = chipMeasure(cfg, duo, 2, 1);
         EXPECT_LE(shared.cores[0].ipc, alone.cores[0].ipc);
 
-        ChipBundle quad = makeChipSources(profile, 4, 1);
+        auto quad = workloads::makeChipSources(profile, 4, 1).value();
         const chip::ChipResult crowded = chipMeasure(cfg, quad, 4, 1);
         EXPECT_LE(crowded.cores[0].ipc, shared.cores[0].ipc);
     }
@@ -612,7 +581,7 @@ std::pair<std::vector<uint8_t>, std::string>
 captureChipAndFinish(const core::CoreConfig& cfg, int cores, int smt)
 {
     const workloads::WorkloadProfile profile = resolveProfile("xz");
-    ChipBundle b = makeChipSources(profile, cores, smt);
+    auto b = workloads::makeChipSources(profile, cores, smt).value();
     chip::ChipModel chip(homogeneousChip(cfg, cores));
     chip.beginRun(b.threads);
     chip.advance(kWarmupPerThread * static_cast<uint64_t>(smt));
@@ -638,7 +607,7 @@ restoreChipAndMeasure(const core::CoreConfig& cfg, int cores, int smt,
     if (!ckOr.ok())
         return ckOr.error();
     const workloads::WorkloadProfile profile = resolveProfile("xz");
-    ChipBundle b = makeChipSources(profile, cores, smt);
+    auto b = workloads::makeChipSources(profile, cores, smt).value();
     chip::ChipModel chip(homogeneousChip(cfg, cores));
     chip.beginRun(b.threads);
     if (auto st = chip::restoreChipCheckpoint(ckOr.value(), chip,
@@ -668,7 +637,7 @@ TEST(ChipCkpt, RestoreThenMeasureBitIdentical)
 TEST(ChipCkpt, CaptureIsDeterministic)
 {
     const workloads::WorkloadProfile profile = resolveProfile("xz");
-    ChipBundle b = makeChipSources(profile, 2, 1);
+    auto b = workloads::makeChipSources(profile, 2, 1).value();
     chip::ChipModel chip(homogeneousChip(core::power10(), 2));
     chip.beginRun(b.threads);
     chip.advance(kWarmupPerThread);
@@ -699,7 +668,7 @@ TEST(ChipCkpt, MixedConfigHashRejectedWithSpecificError)
 
     // Restore into a chip whose second core is a different machine.
     const workloads::WorkloadProfile profile = resolveProfile("xz");
-    ChipBundle b = makeChipSources(profile, 2, 1);
+    auto b = workloads::makeChipSources(profile, 2, 1).value();
     chip::ChipConfig mixed;
     mixed.cores = {core::power10(), core::power9()};
     chip::ChipModel chip(mixed);
@@ -791,7 +760,7 @@ TEST(ChipCkptHostile, CorruptPayloadFuzzNeverCrashes)
             ck.meta(), ck.capturedConfigHash(), std::move(corrupt));
         const workloads::WorkloadProfile profile =
             resolveProfile("xz");
-        ChipBundle b = makeChipSources(profile, 2, 1);
+        auto b = workloads::makeChipSources(profile, 2, 1).value();
         chip::ChipModel chip(homogeneousChip(core::power10(), 2));
         chip.beginRun(b.threads);
         return chip::restoreChipCheckpoint(hostile, chip, b.walkers);
@@ -835,7 +804,7 @@ TEST(ChipRecorder, FourCoreTelemetryMergesPerCoreTracks)
 {
     const workloads::WorkloadProfile profile = resolveProfile("xz");
     obs::TimeSeriesRecorder rec(256);
-    ChipBundle b = makeChipSources(profile, 4, 1);
+    auto b = workloads::makeChipSources(profile, 4, 1).value();
     (void)chipMeasure(core::power10(), b, 4, 1, 4, &rec);
 
     std::vector<std::string> names;
@@ -981,30 +950,41 @@ TEST(ChipRunOne, ChipCheckpointSaveLoadRoundTrip)
 TEST(ChipRunOne, ReportRollupEqualsPerCoreSums)
 {
     api::Service service;
-    api::RunRequest req;
-    req.workload = "mcf";
-    req.cores = 4;
-    req.smt = 2;
-    req.instrs = kMeasure;
-    req.warmup = kWarmupPerThread;
-    auto outcomeOr = service.runOne(req);
-    ASSERT_TRUE(outcomeOr.ok()) << outcomeOr.error().str();
-    const api::RunOutcome& out = outcomeOr.value();
-    ASSERT_EQ(out.chip.cores.size(), 4u);
+    // ml_analytics carries the floating-point work mcf lacks, so the
+    // flops sum is checked on a nonzero value too.
+    for (const char* workload : {"mcf", "ml_analytics"}) {
+        api::RunRequest req;
+        req.workload = workload;
+        req.cores = 4;
+        req.smt = 2;
+        req.instrs = kMeasure;
+        req.warmup = kWarmupPerThread;
+        auto outcomeOr = service.runOne(req);
+        ASSERT_TRUE(outcomeOr.ok()) << outcomeOr.error().str();
+        const api::RunOutcome& out = outcomeOr.value();
+        ASSERT_EQ(out.chip.cores.size(), 4u);
 
-    uint64_t instrs = 0;
-    uint64_t maxEff = 0;
-    double powerW = 0.0;
-    for (const auto& co : out.chip.cores) {
-        instrs += co.run.instrs;
-        maxEff = std::max(maxEff, co.effCycles);
-        powerW += co.powerW;
-        EXPECT_EQ(co.effCycles, co.run.cycles + co.stallCycles);
+        uint64_t instrs = 0;
+        uint64_t ops = 0;
+        uint64_t flops = 0;
+        uint64_t maxEff = 0;
+        double powerW = 0.0;
+        for (const auto& co : out.chip.cores) {
+            instrs += co.run.instrs;
+            ops += co.run.ops;
+            flops += co.run.flops;
+            maxEff = std::max(maxEff, co.effCycles);
+            powerW += co.powerW;
+            EXPECT_EQ(co.effCycles, co.run.cycles + co.stallCycles);
+        }
+        EXPECT_EQ(out.chip.instrs, instrs);
+        EXPECT_EQ(out.chip.chipCycles, maxEff);
+        EXPECT_NEAR(out.chip.powerW, powerW, 1e-9);
+        EXPECT_EQ(out.run.cycles, out.chip.chipCycles);
+        EXPECT_EQ(out.run.instrs, out.chip.instrs);
+        EXPECT_GT(ops, 0u);
+        EXPECT_EQ(out.run.ops, ops) << workload;
+        EXPECT_EQ(out.run.flops, flops) << workload;
+        EXPECT_NEAR(out.powerW(), out.chip.powerW, 1e-6 * powerW);
     }
-    EXPECT_EQ(out.chip.instrs, instrs);
-    EXPECT_EQ(out.chip.chipCycles, maxEff);
-    EXPECT_NEAR(out.chip.powerW, powerW, 1e-9);
-    EXPECT_EQ(out.run.cycles, out.chip.chipCycles);
-    EXPECT_EQ(out.run.instrs, out.chip.instrs);
-    EXPECT_NEAR(out.powerW(), out.chip.powerW, 1e-6 * powerW);
 }

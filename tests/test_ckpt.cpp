@@ -21,7 +21,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ckpt/checkpoint.h"
 #include "common/hash.h"
@@ -262,6 +265,44 @@ TEST(CkptRoundTrip, FileSaveLoadPreservesEverything)
     EXPECT_EQ(loaded.value().capturedConfigHash(),
               ckpt::configHash(core::power10()));
     std::filesystem::remove(path);
+}
+
+TEST(CkptRoundTrip, ConcurrentSavesToOnePathAllSucceed)
+{
+    const auto ck =
+        ckpt::Checkpoint::fromBytes(captureAndFinish("power10", 1).first)
+            .value();
+    // Every writer needs its own temp file: with one shared temp name,
+    // a writer's rename can find its file already renamed away.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("p10ee_ckpt_concurrent_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "one.ckpt").string();
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 20;
+    std::vector<std::string> failures(kThreads);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t)
+        writers.emplace_back([&, t] {
+            for (int i = 0; i < kRounds; ++i)
+                if (auto st = ck.save(path); !st.ok())
+                    failures[static_cast<size_t>(t)] +=
+                        st.error().str() + "\n";
+        });
+    for (std::thread& w : writers)
+        w.join();
+    for (const std::string& f : failures)
+        EXPECT_EQ(f, "");
+
+    auto loaded = ckpt::Checkpoint::load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+    EXPECT_EQ(loaded.value().toBytes(), ck.toBytes());
+    // No writer leaves its temp file behind.
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CkptRoundTrip, LoadMissingFileIsNotFound)

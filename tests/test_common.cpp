@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, stats, histograms, matrix
- * algebra, table formatting, the weak shared-object cache.
+ * algebra, table formatting, the weak shared-object cache, the sealed
+ * container layout every persisted file uses.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,13 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/sealed_file.h"
+#include "common/serialize.h"
 #include "common/shared_cache.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -394,4 +398,103 @@ TEST(SharedCache, ConcurrentCallersShareOneObject)
         // won and all share one object.
         EXPECT_EQ(got[t], got[0]);
     }
+}
+
+// ---- Sealed files (hostile input; runs under ASan/UBSan in CI) ----
+
+namespace {
+
+const SealedFile kTestFile("test file", "P10TEST!",
+                           {{"format", 3}, {"state-schema", 5}});
+
+/** Header bytes of kTestFile: magic plus two version words. */
+constexpr size_t kTestHeader = 8 + 2 * 4;
+
+std::vector<uint8_t>
+sealedSample()
+{
+    return kTestFile.seal([](BinWriter& w) {
+        w.str("body");
+        w.u64(0x0123456789abcdefull);
+    });
+}
+
+} // namespace
+
+TEST(SealedFile, EveryPrefixAndEveryByteFlipIsRejected)
+{
+    const std::vector<uint8_t> bytes = sealedSample();
+    ASSERT_TRUE(kTestFile.open(bytes.data(), bytes.size()).ok());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+        auto r = kTestFile.open(bytes.data(), len);
+        ASSERT_FALSE(r.ok()) << "prefix of " << len << " bytes";
+        EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+    }
+    // The checks run in layout order, so a flipped byte is reported by
+    // the first check that covers it.
+    for (size_t pos = 0; pos < bytes.size(); ++pos) {
+        std::vector<uint8_t> copy = bytes;
+        copy[pos] ^= 0xFF;
+        auto r = kTestFile.open(copy.data(), copy.size());
+        ASSERT_FALSE(r.ok()) << "flip at byte " << pos;
+        EXPECT_EQ(r.error().code, ErrorCode::InvalidArgument);
+        const char* want = pos < 8             ? "bad magic"
+                           : pos < kTestHeader ? "version"
+                                               : "checksum mismatch";
+        EXPECT_NE(r.error().message.find(want), std::string::npos)
+            << "flip at byte " << pos << ": " << r.error().message;
+    }
+}
+
+TEST(SealedFile, HeaderMismatchesAreNamedBeforeTheChecksum)
+{
+    // Patching the header breaks the checksum too; the magic or the
+    // version is what the reader must be told about.
+    const std::pair<size_t, const char*> cases[] = {
+        {3, "not a p10ee test file (bad magic)"},
+        {8, "unsupported test file format version 99 (expected 3)"},
+        {12, "unsupported test file state-schema version 99 (expected 5)"}};
+    for (const auto& [pos, want] : cases) {
+        std::vector<uint8_t> bytes = sealedSample();
+        bytes[pos] = 99;
+        auto r = kTestFile.open(bytes.data(), bytes.size());
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().message, want);
+    }
+}
+
+TEST(SealedFile, BodyReaderStopsBeforeTheTrailer)
+{
+    const std::vector<uint8_t> bytes = sealedSample();
+    auto r = kTestFile.open(bytes.data(), bytes.size());
+    ASSERT_TRUE(r.ok()) << r.error().str();
+    BinReader& body = r.value();
+    EXPECT_EQ(body.str(), "body");
+    EXPECT_EQ(body.u64(), 0x0123456789abcdefull);
+    EXPECT_EQ(body.remaining(), 0u);
+    EXPECT_TRUE(body.ok());
+    (void)body.u8();
+    EXPECT_TRUE(body.failed());
+}
+
+TEST(SealedFile, EmptyBodyRoundTrips)
+{
+    const std::vector<uint8_t> bytes = kTestFile.seal([](BinWriter&) {});
+    EXPECT_EQ(bytes.size(), kTestHeader + 8);
+    auto r = kTestFile.open(bytes.data(), bytes.size());
+    ASSERT_TRUE(r.ok()) << r.error().str();
+    EXPECT_EQ(r.value().remaining(), 0u);
+}
+
+TEST(SealedFile, UnopenablePathsAreNotFound)
+{
+    // NotFound for writes as for reads: the CLIs map it to a usage
+    // error (exit 2).
+    const std::string missing = "/nonexistent-dir/p10ee/f.bin";
+    Status w = kTestFile.write(missing, sealedSample());
+    ASSERT_FALSE(w.ok());
+    EXPECT_EQ(w.error().code, ErrorCode::NotFound);
+    auto r = kTestFile.read(missing);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::NotFound);
 }
