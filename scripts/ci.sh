@@ -252,6 +252,19 @@ EOF
 # trace workload. Finally cross-check the wire format against the
 # stdlib-only Python tooling: a container hand-built by p10_trace.py
 # must verify and replay in C++.
+# Run a command that must fail as a usage error: exit status 2, not
+# success and not a crash (an uncaught exception aborts with 134).
+expect_exit_2() {
+    local what="$1"
+    shift
+    local status=0
+    "$@" >/dev/null 2>&1 || status=$?
+    if [ "${status}" -ne 2 ]; then
+        echo "${what}: exited ${status}, expected 2" >&2
+        return 1
+    fi
+}
+
 trace_smoke() {
     local build="$1"
     local tag="$2"
@@ -307,6 +320,14 @@ EOF
         --warmup 2000 --csv --ckpt-load "${dir}/warm.ckpt" \
         > "${dir}/CKPT_load.csv" 2>/dev/null
     cmp "${dir}/CKPT_save.csv" "${dir}/CKPT_load.csv"
+    # A directory is not a container: the trace and checkpoint readers
+    # must reject one as a usage error, never abort.
+    expect_exit_2 "trace smoke (${tag}): verify of a directory" \
+        "${build}/examples/p10trace_cli" verify --in "${dir}"
+    expect_exit_2 "trace smoke (${tag}): --ckpt-load of a directory" \
+        "${build}/examples/p10sim_cli" \
+        --workload "trace:${dir}/xz.p10trace" --instrs 3000 \
+        --warmup 2000 --csv --ckpt-load "${dir}"
     # Snippet re-extraction: mine the hot loop, then sweep the snippet
     # as its own trace workload.
     "${build}/examples/p10trace_cli" extract --in "${dir}/xz.p10trace" \

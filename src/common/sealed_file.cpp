@@ -1,16 +1,41 @@
 #include "common/sealed_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 
 #include "common/assert.h"
 #include "common/hash.h"
 
 namespace p10ee::common {
+
+namespace {
+
+/** A file descriptor, closed when its holder goes out of scope. */
+class OpenFile
+{
+  public:
+    explicit OpenFile(int fd) : fd_(fd) {}
+    ~OpenFile()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    OpenFile(const OpenFile&) = delete;
+    OpenFile& operator=(const OpenFile&) = delete;
+
+    int fd() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+} // namespace
 
 SealedFile::SealedFile(std::string what, std::string_view magic,
                        std::vector<Version> versions)
@@ -90,11 +115,36 @@ SealedFile::write(const std::string& path,
 Expected<std::vector<uint8_t>>
 SealedFile::read(const std::string& path) const
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f)
+    // O_NONBLOCK so a FIFO cannot stall the open; regular-file reads
+    // ignore it.
+    const OpenFile f(
+        ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+    if (f.fd() < 0)
         return Error::notFound("cannot open " + what_ + ": " + path);
-    return std::vector<uint8_t>((std::istreambuf_iterator<char>(f)),
-                                std::istreambuf_iterator<char>());
+    // The size comes from the opened file: a directory opens fine and
+    // a device has no end, so anything but a regular file is refused
+    // before a byte is read.
+    struct stat st;
+    if (::fstat(f.fd(), &st) != 0 || !S_ISREG(st.st_mode))
+        return Error::notFound("cannot open " + what_ + ": " + path +
+                               " (not a regular file)");
+    std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n =
+            ::read(f.fd(), bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            return Error::transient("cannot read " + what_ + ": " + path);
+        if (n == 0)
+            break;
+        got += static_cast<size_t>(n);
+    }
+    // A file that shrank under the read comes back short; open()
+    // rejects it like any other truncation.
+    bytes.resize(got);
+    return bytes;
 }
 
 } // namespace p10ee::common

@@ -17,7 +17,8 @@
  * write() is atomic: a temp file named after the target, the process
  * id and a per-process counter, then rename(). Concurrent writers of
  * one path, threads or processes, never share a temp file, and readers
- * never see a partial file.
+ * never see a partial file. read() takes regular files only, sized
+ * from the opened file and read in one call.
  */
 
 #ifndef P10EE_COMMON_SEALED_FILE_H
@@ -64,7 +65,9 @@ class SealedFile
     Status write(const std::string& path,
                  const std::vector<uint8_t>& bytes) const;
 
-    /** The whole of @p path; NotFound when it cannot be opened. */
+    /** The whole of @p path in one sized read. NotFound when it cannot
+        be opened or is not a regular file (a directory, a device, a
+        FIFO); Transient when the read itself fails. */
     Expected<std::vector<uint8_t>> read(const std::string& path) const;
 
   private:

@@ -78,10 +78,12 @@ class BinWriter
 
     /** Raw bytes, no length prefix (an embedded blob). */
     void
-    raw(const std::vector<uint8_t>& v)
+    raw(const uint8_t* p, size_t n)
     {
-        buf_.insert(buf_.end(), v.begin(), v.end());
+        buf_.insert(buf_.end(), p, p + n);
     }
+
+    void raw(const std::vector<uint8_t>& v) { raw(v.data(), v.size()); }
 
     /** Length-prefixed (u64) vector of u64 values. */
     void

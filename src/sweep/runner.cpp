@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "chip/chip.h"
 #include "common/assert.h"
@@ -331,6 +332,23 @@ SweepRunner::run(int jobs)
             paths.push_back(shardReportPath(spec_.shardReportsDir, s));
         if (Status st = obs::distinctOutputPaths(paths); !st)
             return st.error();
+    }
+
+    // Hold one source per distinct file-backed workload for the whole
+    // run. Its container stays in the process-wide shared cache, so
+    // every shard replays it instead of reloading and re-verifying the
+    // file (at --jobs 1 no shard would otherwise overlap the next). A
+    // hold that fails is dropped: the shards report their own errors.
+    std::vector<std::unique_ptr<workloads::CheckpointableSource>> held;
+    std::set<std::string> heldPaths;
+    for (const ShardSpec& s : shards) {
+        if (s.profile.frontend.empty() ||
+            !heldPaths.insert(s.profile.sourcePath).second)
+            continue;
+        Expected<std::unique_ptr<workloads::CheckpointableSource>> src =
+            workloads::makeSource(s.profile, 0);
+        if (src)
+            held.push_back(std::move(src.value()));
     }
 
     std::vector<ShardResult> results(shards.size());

@@ -120,9 +120,12 @@ class SweepRunner
     /**
      * Validate, expand, and run every shard on @p jobs pool threads.
      * Returns the results in shard-index order regardless of
-     * completion order. Errors are pre-flight only (invalid spec,
-     * unknown names, unwritable shard-report directory); shard
-     * failures are recorded in the result instead.
+     * completion order. One source per distinct file-backed workload
+     * (a trace) is held for the whole run, so every shard replays the
+     * container the run holds instead of reloading the file. Errors
+     * are pre-flight only (invalid spec, unknown names, unwritable
+     * shard-report directory); shard failures are recorded in the
+     * result instead.
      */
     common::Expected<SweepResult> run(int jobs);
 

@@ -74,28 +74,72 @@ putVarint(std::vector<uint8_t>& out, uint64_t v)
     out.push_back(static_cast<uint8_t>(v));
 }
 
-/** LEB128 u64; over-long or truncated encodings poison the reader. */
+/** Little-endian store of the low @p n bytes of @p v at @p p. */
+void
+putLe(uint8_t*& p, uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        *p++ = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Little-endian load of @p n bytes at @p p. */
 uint64_t
-getVarint(BinReader& r)
+getLe(const uint8_t*& p, int n)
 {
     uint64_t v = 0;
-    for (int i = 0; i < 10; ++i) {
-        const uint8_t byte = r.u8();
-        if (r.failed())
-            return 0;
-        v |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
-        if ((byte & 0x80) == 0) {
-            // The 10th byte may only carry the top bit of a u64.
-            if (i == 9 && byte > 1) {
-                r.poison();
-                return 0;
-            }
-            return v;
-        }
-    }
-    r.poison();
-    return 0;
+    for (int i = 0; i < n; ++i)
+        v |= static_cast<uint64_t>(*p++) << (8 * i);
+    return v;
 }
+
+/**
+ * Bounds-checked forward cursor over one delta chunk. A failed read
+ * latches: it moves the cursor to the end, so every later read
+ * returns 0 without touching memory, and ok stays false.
+ */
+struct Cursor
+{
+    const uint8_t* p;
+    const uint8_t* end;
+    bool ok = true;
+
+    uint64_t
+    fail()
+    {
+        ok = false;
+        p = end;
+        return 0;
+    }
+
+    uint8_t
+    byte()
+    {
+        return p != end ? *p++ : static_cast<uint8_t>(fail());
+    }
+
+    uint32_t
+    le32()
+    {
+        if (end - p < 4)
+            return static_cast<uint32_t>(fail());
+        return static_cast<uint32_t>(getLe(p, 4));
+    }
+
+    /** LEB128 u64; truncated or over-long encodings fail. */
+    uint64_t
+    varint()
+    {
+        uint64_t v = 0;
+        for (int shift = 0; shift < 70 && p != end; shift += 7) {
+            const uint8_t b = *p++;
+            v |= static_cast<uint64_t>(b & 0x7f) << shift;
+            // The 10th byte may only carry the top bit of a u64.
+            if ((b & 0x80) == 0)
+                return shift == 63 && b > 1 ? fail() : v;
+        }
+        return fail();
+    }
+};
 
 /**
  * Semantic validation of a decoded instruction. The envelope checksum
@@ -180,80 +224,97 @@ encodeDelta(std::vector<uint8_t>& out, const isa::TraceInstr& in,
 }
 
 bool
-decodeDelta(BinReader& r, isa::TraceInstr* out, uint64_t& prevPc,
+decodeDelta(Cursor& c, isa::TraceInstr& out, uint64_t& prevPc,
             uint64_t& prevAddr)
 {
     isa::TraceInstr in;
-    const uint8_t op = r.u8();
-    const uint8_t flags = r.u8();
-    const uint8_t regs = r.u8();
-    if (r.failed())
+    const uint8_t op = c.byte();
+    const uint8_t flags = c.byte();
+    const uint8_t regs = c.byte();
+    if ((flags & 0x80) != 0 || (regs & 0xc0) != 0)
         return false;
-    if ((flags & 0x80) != 0 || (regs & 0xc0) != 0) {
-        r.poison();
+    const uint8_t tierCode = (regs >> 3) & 0x7;
+    // A tier code on a memory-less record is a fabrication.
+    if ((flags & kFlagMem) == 0 && tierCode != kTierNone)
         return false;
-    }
     in.op = static_cast<isa::OpClass>(op);
     in.taken = (flags & kFlagTaken) != 0;
     in.prefixed = (flags & kFlagPrefixed) != 0;
     in.gemm = (flags & kFlagGemm) != 0;
     for (int i = 0; i < 3; ++i)
         if ((regs & (1u << i)) != 0)
-            in.src[i] = static_cast<uint16_t>(getVarint(r));
+            in.src[i] = static_cast<uint16_t>(c.varint());
     if ((flags & kFlagDest) != 0)
-        in.dest = static_cast<uint16_t>(getVarint(r));
-    in.pc = unzigzag(prevPc, getVarint(r));
+        in.dest = static_cast<uint16_t>(c.varint());
+    in.pc = unzigzag(prevPc, c.varint());
     prevPc = in.pc;
     if ((flags & kFlagMem) != 0) {
-        in.addr = unzigzag(prevAddr, getVarint(r));
-        in.size = static_cast<uint16_t>(getVarint(r));
+        in.addr = unzigzag(prevAddr, c.varint());
+        in.size = static_cast<uint16_t>(c.varint());
         prevAddr = in.addr;
-        const uint8_t tierCode = (regs >> 3) & 0x7;
         in.memTier = tierCode == kTierNone ? 0xff : tierCode;
-    } else {
-        // A tier code on a memory-less record is a fabrication.
-        if (((regs >> 3) & 0x7) != kTierNone) {
-            r.poison();
-            return false;
-        }
     }
     if ((flags & kFlagTarget) != 0)
-        in.target = unzigzag(in.pc, getVarint(r));
+        in.target = unzigzag(in.pc, c.varint());
     if ((flags & kFlagToggle) != 0) {
-        const float t = r.f32();
-        in.toggle = t;
+        const uint32_t bits = c.le32();
+        std::memcpy(&in.toggle, &bits, sizeof(bits));
     }
-    if (r.failed() || !validInstr(in)) {
-        r.poison();
+    if (!c.ok || !validInstr(in))
         return false;
-    }
-    *out = in;
+    out = in;
     return true;
 }
 
-bool
-decodeCanonical(BinReader& r, isa::TraceInstr* out)
+/** The canonical record of @p in into @p out (kCanonicalBytes): the
+    bytes the content hash is defined over. */
+void
+canonicalRecord(const isa::TraceInstr& in, uint8_t* out)
+{
+    putLe(out, static_cast<uint8_t>(in.op), 1);
+    for (uint16_t s : in.src)
+        putLe(out, s, 2);
+    putLe(out, in.dest, 2);
+    putLe(out, in.pc, 8);
+    putLe(out, in.addr, 8);
+    putLe(out, in.size, 2);
+    putLe(out, in.memTier, 1);
+    putLe(out, in.taken ? 1 : 0, 1);
+    putLe(out, in.target, 8);
+    putLe(out, in.prefixed ? 1 : 0, 1);
+    putLe(out, in.gemm ? 1 : 0, 1);
+    putLe(out, toggleBits(in.toggle), 4);
+}
+
+/** Absorb @p in's canonical record into @p h. */
+void
+hashRecord(Fnv1a& h, const isa::TraceInstr& in)
+{
+    uint8_t rec[kCanonicalBytes];
+    canonicalRecord(in, rec);
+    h.bytes(rec, sizeof(rec));
+}
+
+/** The instruction in the canonical record at @p p. */
+isa::TraceInstr
+readCanonical(const uint8_t* p)
 {
     isa::TraceInstr in;
-    in.op = static_cast<isa::OpClass>(r.u8());
+    in.op = static_cast<isa::OpClass>(getLe(p, 1));
     for (uint16_t& s : in.src)
-        s = r.u16();
-    in.dest = r.u16();
-    in.pc = r.u64();
-    in.addr = r.u64();
-    in.size = r.u16();
-    in.memTier = r.u8();
-    in.taken = r.b();
-    in.target = r.u64();
-    in.prefixed = r.b();
-    in.gemm = r.b();
-    in.toggle = r.f32();
-    if (r.failed() || !validInstr(in)) {
-        r.poison();
-        return false;
-    }
-    *out = in;
-    return true;
+        s = static_cast<uint16_t>(getLe(p, 2));
+    in.dest = static_cast<uint16_t>(getLe(p, 2));
+    in.pc = getLe(p, 8);
+    in.addr = getLe(p, 8);
+    in.size = static_cast<uint16_t>(getLe(p, 2));
+    in.memTier = static_cast<uint8_t>(getLe(p, 1));
+    in.taken = getLe(p, 1) != 0;
+    in.target = getLe(p, 8);
+    in.prefixed = getLe(p, 1) != 0;
+    in.gemm = getLe(p, 1) != 0;
+    const auto bits = static_cast<uint32_t>(getLe(p, 4));
+    std::memcpy(&in.toggle, &bits, sizeof(bits));
+    return in;
 }
 
 } // namespace
@@ -289,19 +350,9 @@ validateMeta(const TraceMeta& meta)
 void
 writeCanonicalInstr(BinWriter& w, const isa::TraceInstr& in)
 {
-    w.u8(static_cast<uint8_t>(in.op));
-    for (uint16_t s : in.src)
-        w.u16(s);
-    w.u16(in.dest);
-    w.u64(in.pc);
-    w.u64(in.addr);
-    w.u16(in.size);
-    w.u8(in.memTier);
-    w.b(in.taken);
-    w.u64(in.target);
-    w.b(in.prefixed);
-    w.b(in.gemm);
-    w.f32(in.toggle);
+    uint8_t rec[kCanonicalBytes];
+    canonicalRecord(in, rec);
+    w.raw(rec, sizeof(rec));
 }
 
 uint64_t
@@ -327,45 +378,49 @@ TraceData::payloadBytes() const
     return n;
 }
 
-Expected<std::vector<isa::TraceInstr>>
-TraceData::decodeChunk(size_t i) const
+Status
+TraceData::decodeChunk(size_t i, std::vector<isa::TraceInstr>& out) const
 {
     P10_ASSERT(i < chunks_.size(), "chunk index out of range");
     const Chunk& c = chunks_[i];
-    std::vector<isa::TraceInstr> out;
-    out.reserve(c.count);
-    BinReader r(c.bytes);
+    auto corrupt = [i](uint32_t k) {
+        return Error::invalidArgument(
+            "trace chunk " + std::to_string(i) + " record " +
+            std::to_string(k) + ": corrupt or out-of-range fields");
+    };
+    out.resize(c.count);
+    const uint8_t* p = c.bytes.data();
     if (encoding_ == kEncodingRaw) {
         if (c.bytes.size() != c.count * kCanonicalBytes)
             return Error::invalidArgument(
                 "trace chunk " + std::to_string(i) +
                 ": raw payload size does not match its record count");
-        for (uint32_t k = 0; k < c.count; ++k) {
-            isa::TraceInstr in;
-            if (!decodeCanonical(r, &in))
-                return Error::invalidArgument(
-                    "trace chunk " + std::to_string(i) + " record " +
-                    std::to_string(k) +
-                    ": corrupt or out-of-range fields");
-            out.push_back(in);
+        for (uint32_t k = 0; k < c.count; ++k, p += kCanonicalBytes) {
+            out[k] = readCanonical(p);
+            if (!validInstr(out[k]))
+                return corrupt(k);
         }
-    } else {
-        uint64_t prevPc = 0;
-        uint64_t prevAddr = 0;
-        for (uint32_t k = 0; k < c.count; ++k) {
-            isa::TraceInstr in;
-            if (!decodeDelta(r, &in, prevPc, prevAddr))
-                return Error::invalidArgument(
-                    "trace chunk " + std::to_string(i) + " record " +
-                    std::to_string(k) +
-                    ": corrupt or out-of-range fields");
-            out.push_back(in);
-        }
+        return common::okStatus();
     }
-    if (r.remaining() != 0)
+    Cursor cur{p, p + c.bytes.size()};
+    uint64_t prevPc = 0;
+    uint64_t prevAddr = 0;
+    for (uint32_t k = 0; k < c.count; ++k)
+        if (!decodeDelta(cur, out[k], prevPc, prevAddr))
+            return corrupt(k);
+    if (cur.p != cur.end)
         return Error::invalidArgument(
             "trace chunk " + std::to_string(i) +
             ": trailing bytes after the last record");
+    return common::okStatus();
+}
+
+Expected<std::vector<isa::TraceInstr>>
+TraceData::decodeChunk(size_t i) const
+{
+    std::vector<isa::TraceInstr> out;
+    if (Status st = decodeChunk(i, out); !st)
+        return st.error();
     return out;
 }
 
@@ -374,12 +429,11 @@ TraceData::decodeAll() const
 {
     std::vector<isa::TraceInstr> out;
     out.reserve(static_cast<size_t>(instrCount_));
+    std::vector<isa::TraceInstr> window;
     for (size_t i = 0; i < chunks_.size(); ++i) {
-        Expected<std::vector<isa::TraceInstr>> chunk = decodeChunk(i);
-        if (!chunk)
-            return chunk.error();
-        out.insert(out.end(), chunk.value().begin(),
-                   chunk.value().end());
+        if (Status st = decodeChunk(i, window); !st)
+            return st.error();
+        out.insert(out.end(), window.begin(), window.end());
     }
     return out;
 }
@@ -387,14 +441,13 @@ TraceData::decodeAll() const
 Status
 TraceData::verifyContent() const
 {
-    Expected<std::vector<isa::TraceInstr>> all = decodeAll();
-    if (!all)
-        return all.error();
+    std::vector<isa::TraceInstr> window; // reused: memory is O(chunk)
     Fnv1a h;
-    for (const isa::TraceInstr& in : all.value()) {
-        BinWriter w;
-        writeCanonicalInstr(w, in);
-        h.bytes(w.bytes().data(), w.size());
+    for (size_t i = 0; i < chunks_.size(); ++i) {
+        if (Status st = decodeChunk(i, window); !st)
+            return st;
+        for (const isa::TraceInstr& in : window)
+            hashRecord(h, in);
     }
     if (h.digest() != contentHash_)
         return Error::invalidArgument(
@@ -533,9 +586,7 @@ TraceWriter::add(const isa::TraceInstr& in)
     P10_ASSERT(!finished_, "TraceWriter::add after finish()");
     P10_ASSERT(validInstr(in),
                "instruction fails trace range validation");
-    BinWriter w;
-    writeCanonicalInstr(w, in);
-    hash_.bytes(w.bytes().data(), w.size());
+    hashRecord(hash_, in);
     pending_.push_back(in);
     ++data_.instrCount_;
     if (pending_.size() >= chunkCapacity_)

@@ -123,12 +123,20 @@ class TraceData
     common::Expected<std::vector<isa::TraceInstr>>
     decodeChunk(size_t i) const;
 
+    /** decodeChunk() into @p out, reusing its storage (a replay
+        window); on an error @p out holds no meaningful records. */
+    common::Status decodeChunk(size_t i,
+                               std::vector<isa::TraceInstr>& out) const;
+
     /** Decode every chunk in order. */
     common::Expected<std::vector<isa::TraceInstr>> decodeAll() const;
 
     /**
-     * Full content verification: decode everything and recompute the
-     * content hash; a mismatch against the stored hash is an error.
+     * Full content verification in one streaming pass: decode chunk
+     * by chunk through one reused window (memory O(chunk), not
+     * O(trace)) and recompute the content hash. The first chunk that
+     * fails to decode is the error; a hash mismatch against the stored
+     * hash is reported once every chunk has decoded.
      */
     common::Status verifyContent() const;
 

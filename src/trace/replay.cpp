@@ -24,14 +24,14 @@ TraceReplaySource::TraceReplaySource(
 void
 TraceReplaySource::decodeWindow(size_t chunk)
 {
-    Expected<std::vector<isa::TraceInstr>> decoded =
-        data_->decodeChunk(chunk);
-    // The shared loader content-verified the container (every chunk
-    // decoded once); a failure here means the caller skipped that
-    // contract, which is a programming error, not hostile input.
+    // Into the window this source owns: its storage is reused from
+    // chunk to chunk. The shared loader content-verified the container
+    // (every chunk decoded once); a failure here means the caller
+    // skipped that contract, which is a programming error, not hostile
+    // input.
+    const Status decoded = data_->decodeChunk(chunk, window_);
     P10_ASSERT(decoded.ok(),
                "replay over an unverified trace container");
-    window_ = std::move(decoded.value());
     chunk_ = chunk;
     posInWindow_ = 0;
 }

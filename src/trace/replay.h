@@ -23,8 +23,10 @@
  * name `trace:<path>` workloads. Containers are loaded once per
  * process (shared, content-verified) and re-validated against the
  * resolving profile's content hash at source construction, so a file
- * swapped between spec expansion and shard execution is a structured
- * error, never a silently wrong simulation.
+ * swapped after resolution is a structured error at the next source
+ * built from it, never a silently wrong simulation. A sweep run holds
+ * its containers for its whole length, so its shards replay what the
+ * run holds instead of reloading the file.
  */
 
 #ifndef P10EE_TRACE_REPLAY_H

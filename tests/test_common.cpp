@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -497,4 +498,18 @@ TEST(SealedFile, UnopenablePathsAreNotFound)
     auto r = kTestFile.read(missing);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code, ErrorCode::NotFound);
+    // A directory opens like a file but is not one; a device has no
+    // end. Both are NotFound naming the path, never a stream exception
+    // or an unbounded read.
+    for (const std::string path :
+         {std::filesystem::temp_directory_path().string(),
+          std::string("/dev/null")}) {
+        if (!std::filesystem::exists(path))
+            continue;
+        auto d = kTestFile.read(path);
+        ASSERT_FALSE(d.ok()) << path;
+        EXPECT_EQ(d.error().code, ErrorCode::NotFound) << path;
+        EXPECT_NE(d.error().message.find(path), std::string::npos)
+            << d.error().message;
+    }
 }

@@ -583,6 +583,33 @@ TEST(Daemon, HostileInputGetsErrorEventsNotACrash)
     daemon.waitUntilStopped();
 }
 
+TEST(Daemon, RunNamingADirectoryTraceGetsAnErrorNotACrash)
+{
+    // A directory opens like a file; reading it must be a structured
+    // error event, and the daemon must go on serving.
+    const std::string dir = freshDir("p10ee_daemon_trace_dir");
+    std::filesystem::create_directories(dir);
+    service::Daemon daemon(service::DaemonOptions{});
+    ASSERT_TRUE(daemon.start().ok());
+
+    Client client(daemon.port());
+    client.sendLine("{\"type\":\"run\",\"id\":\"d1\",\"config\":"
+                    "\"power10\",\"workload\":\"trace:" + dir +
+                    "\",\"smt\":1,\"instrs\":2000,\"warmup\":500}");
+    const std::string err = client.readFinal("d1");
+    EXPECT_EQ(field(err, "event"), "error") << err;
+    EXPECT_EQ(field(err, "code"), "not_found") << err;
+
+    client.sendLine(
+        "{\"type\":\"run\",\"id\":\"r2\",\"config\":\"power10\","
+        "\"workload\":\"xz\",\"smt\":1,\"instrs\":2000,"
+        "\"warmup\":500}");
+    EXPECT_EQ(field(client.readFinal("r2"), "event"), "done");
+
+    daemon.waitUntilStopped();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Daemon, OversizedLineIsRejectedAndConnectionDropped)
 {
     service::Daemon daemon(service::DaemonOptions{});

@@ -22,6 +22,7 @@
 #include "ckpt/checkpoint.h"
 #include "core/core.h"
 #include "sweep/cache.h"
+#include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "trace/container.h"
 #include "trace/extract.h"
@@ -356,6 +357,85 @@ TEST(TraceHostile, MutatedPayloadFailsContentVerification)
               std::string::npos);
 }
 
+namespace {
+
+/** Byte offset of chunk @p k's payload in @p bytes, the serialized
+    @p t: walks the chunk table (u32 count | u64 length | payload). */
+size_t
+chunkPayloadOffset(const std::vector<uint8_t>& bytes,
+                   const trace::TraceData& t, size_t k)
+{
+    size_t at = chunkCountOffset(t) + 4;
+    for (size_t i = 0; i < k; ++i) {
+        uint64_t len = 0;
+        for (size_t b = 0; b < 8; ++b)
+            len |= static_cast<uint64_t>(bytes[at + 4 + b]) << (8 * b);
+        at += 12 + static_cast<size_t>(len);
+    }
+    return at + 12;
+}
+
+} // namespace
+
+TEST(TraceContainer, StreamingHashIsTheCanonicalDefinition)
+{
+    // The content hash is FNV-1a over writeCanonicalInstr's bytes, in
+    // stream order, whatever the encoding and chunking; verification
+    // streams chunk by chunk and must agree with it.
+    const auto stream = variedStream(10000);
+    for (uint8_t enc : {trace::kEncodingRaw, trace::kEncodingDelta})
+        for (uint32_t cap : {1u, 7u, 4096u}) {
+            auto t = trace::TraceData::fromBytes(
+                build(stream, enc, cap).toBytes());
+            ASSERT_TRUE(t.ok()) << t.error().message;
+            auto all = t.value().decodeAll();
+            ASSERT_TRUE(all.ok()) << all.error().message;
+            common::BinWriter canonical;
+            for (const isa::TraceInstr& in : all.value())
+                trace::writeCanonicalInstr(canonical, in);
+            EXPECT_EQ(canonical.size(), stream.size() * 43);
+            EXPECT_EQ(t.value().contentHash(),
+                      common::Fnv1a()
+                          .bytes(canonical.bytes().data(),
+                                 canonical.size())
+                          .digest())
+                << "encoding " << int(enc) << " capacity " << cap;
+            EXPECT_TRUE(t.value().verifyContent().ok());
+        }
+}
+
+TEST(TraceContainer, StreamingVerifyNamesTheFirstFailingChunk)
+{
+    // Chunk k > 0 carries an out-of-range op class under a valid file
+    // checksum, and chunk 0 a valid but different one. Verification
+    // must name chunk k: a content-hash mismatch is only reported once
+    // every chunk has decoded.
+    const auto stream = variedStream(10000);
+    for (uint8_t enc : {trace::kEncodingRaw, trace::kEncodingDelta})
+        for (uint32_t cap : {1u, 7u, 4096u}) {
+            trace::TraceData t = build(stream, enc, cap, "h");
+            const size_t k = t.chunkCount() / 2;
+            ASSERT_GT(k, 0u);
+            auto bytes = t.toBytes();
+            // Every record starts with its op class, in both encodings.
+            bytes[chunkPayloadOffset(bytes, t, 0)] =
+                static_cast<uint8_t>(isa::OpClass::Nop);
+            bytes[chunkPayloadOffset(bytes, t, k)] = 200;
+            auto envOk = trace::TraceData::fromBytes(resealed(bytes));
+            ASSERT_TRUE(envOk.ok()) << envOk.error().message;
+            const std::string want =
+                "trace chunk " + std::to_string(k) + " record 0: ";
+            auto st = envOk.value().verifyContent();
+            ASSERT_FALSE(st.ok());
+            EXPECT_NE(st.error().message.find(want), std::string::npos)
+                << "encoding " << int(enc) << " capacity " << cap << ": "
+                << st.error().message;
+            auto all = envOk.value().decodeAll();
+            ASSERT_FALSE(all.ok());
+            EXPECT_EQ(all.error().message, st.error().message);
+        }
+}
+
 TEST(TraceHostile, RandomGarbageFuzzNeverCrashes)
 {
     std::mt19937_64 rng(0xfeedface);
@@ -594,6 +674,59 @@ TEST(TraceRegistry, MissingFileIsStructuredError)
         "trace:/nonexistent/definitely_missing.p10trace");
     ASSERT_FALSE(p.ok());
     EXPECT_EQ(p.error().code, common::ErrorCode::NotFound);
+}
+
+TEST(TraceRegistry, DirectoryPathIsStructuredNotFound)
+{
+    // A directory opens like a file; it must resolve to the structured
+    // NotFound a missing path gets, naming the path.
+    trace::registerTraceFrontend();
+    const std::string dir = tmpPath("p10ee_trace_dir_workload");
+    std::filesystem::create_directories(dir);
+    auto p = workloads::resolveWorkload("trace:" + dir);
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.error().code, common::ErrorCode::NotFound);
+    EXPECT_NE(p.error().message.find(dir), std::string::npos)
+        << p.error().message;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceRegistry, SweepRunReplaysTheTraceItHolds)
+{
+    // At --jobs 1 no shard overlaps the next, so only the run's own
+    // hold keeps the container loaded: deleting the file after the
+    // first shard must change nothing.
+    trace::registerTraceFrontend();
+    const std::string path = tmpPath("p10ee_trace_held.p10trace");
+    ASSERT_TRUE(build(variedStream(3000), trace::kEncodingDelta, 256,
+                      "held")
+                    .save(path)
+                    .ok());
+    auto spec = sweep::SweepSpec::fromJson(
+        "{\"configs\":[\"power10\"],\"workloads\":[\"trace:" + path +
+        "\"],\"smt\":[1,2],\"seeds\":2,\"instrs\":2000,"
+        "\"warmup\":500,\"seed\":7}");
+    ASSERT_TRUE(spec.ok()) << spec.error().message;
+    auto mergedReport = [&](bool deleteAfterFirstShard) {
+        sweep::SweepRunner runner(spec.value());
+        if (deleteAfterFirstShard)
+            runner.onProgress = [&](const api::ProgressEvent&) {
+                std::filesystem::remove(path);
+            };
+        auto res = runner.run(1);
+        EXPECT_TRUE(res.ok());
+        if (!res.ok())
+            return std::string();
+        EXPECT_EQ(res.value().shards.size(), 4u);
+        EXPECT_EQ(res.value().okCount, 4u);
+        return sweep::SweepRunner::merge(spec.value(), res.value(), "t")
+            .toJson();
+    };
+    const std::string undisturbed = mergedReport(false);
+    const std::string disturbed = mergedReport(true);
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(undisturbed.empty());
+    EXPECT_EQ(disturbed, undisturbed);
 }
 
 // ---- Cache-key stability ----
