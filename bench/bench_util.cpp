@@ -5,11 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "api/args.h"
-#include "ckpt/checkpoint.h"
-#include "common/hash.h"
 #include "sweep/pool.h"
 
 namespace p10ee::bench {
@@ -24,10 +21,6 @@ std::atomic<uint64_t> g_simInstrs{0};
     nanoseconds spent inside measure() windows only (no warmup). */
 std::atomic<uint64_t> g_measuredInstrs{0};
 std::atomic<uint64_t> g_measuredNanos{0};
-
-/** Warmup-snapshot directory (--ckpt-dir); set once in benchInit
-    before any workers start, read-only afterwards. */
-std::string g_ckptDir;
 
 } // namespace
 
@@ -60,9 +53,6 @@ tryBenchInit(int argc, char** argv, const std::string& tool)
     api::stdflags::instrs(parser, &ctx.instrsOverride);
     api::stdflags::warmup(parser, &ctx.warmupOverride, &ctx.warmupSet);
     api::stdflags::jobs(parser, &ctx.jobs);
-    parser.str("--ckpt-dir", &ctx.ckptDir, "dir",
-               "memoize warmup snapshots; matching runs restore "
-               "instead of re-simulating the warmup");
     if (auto st = parser.parse(argc, argv); !st)
         return st.error();
     ctx.helpText = parser.help();
@@ -71,15 +61,6 @@ tryBenchInit(int argc, char** argv, const std::string& tool)
         return ctx;
     }
 
-    g_ckptDir = ctx.ckptDir;
-    if (!g_ckptDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(g_ckptDir, ec);
-        if (ec || !std::filesystem::is_directory(g_ckptDir))
-            return common::Error::invalidArgument(
-                "--ckpt-dir: cannot create directory '" + g_ckptDir +
-                "'");
-    }
     g_simInstrs.store(0, std::memory_order_relaxed);
     g_measuredInstrs.store(0, std::memory_order_relaxed);
     g_measuredNanos.store(0, std::memory_order_relaxed);
@@ -194,84 +175,27 @@ runOne(const core::CoreConfig& cfg,
 {
     std::vector<std::unique_ptr<workloads::SyntheticWorkload>> sources;
     std::vector<workloads::InstrSource*> ptrs;
-    std::vector<workloads::CheckpointableSource*> walkers;
-    auto build = [&]() {
-        sources.clear();
-        ptrs.clear();
-        walkers.clear();
-        for (int t = 0; t < smt; ++t) {
-            auto src = std::make_unique<workloads::SyntheticWorkload>(
-                profile, t);
-            ptrs.push_back(src.get());
-            walkers.push_back(src.get());
-            sources.push_back(std::move(src));
-        }
-    };
-    build();
-    auto model = std::make_unique<core::CoreModel>(cfg);
+    for (int t = 0; t < smt; ++t) {
+        sources.push_back(
+            std::make_unique<workloads::SyntheticWorkload>(profile, t));
+        ptrs.push_back(sources.back().get());
+    }
+    core::CoreModel model(cfg);
     core::RunOptions opts;
     // Warmup scales with thread count: SMT copies multiply the footprint
     // that caches and predictors must absorb before steady state.
     opts.warmupInstrs = warmupInstrs * static_cast<uint64_t>(smt);
     opts.measureInstrs = measureInstrs;
-
-    // Opt-in warmup-snapshot reuse (--ckpt-dir): restore the warmed
-    // machine when a matching snapshot exists, capture one otherwise.
-    // Content-addressed on everything that determines the warmed state,
-    // so a config/profile/smt/warmup change misses instead of aliasing.
-    std::string ckptPath;
-    bool restored = false;
-    if (!g_ckptDir.empty() && opts.warmupInstrs > 0) {
-        common::Fnv1a h;
-        h.u64(ckpt::configHash(cfg));
-        h.u64(workloads::profileHash(profile));
-        h.u64(static_cast<uint64_t>(smt));
-        h.u64(opts.warmupInstrs);
-        char hex[17];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      static_cast<unsigned long long>(h.digest()));
-        ckptPath = g_ckptDir + "/" + hex + ".ckpt";
-        if (auto ckOr = ckpt::Checkpoint::load(ckptPath)) {
-            model->beginRun(ptrs);
-            if (ckOr.value().restore(*model, walkers).ok()) {
-                restored = true;
-            } else {
-                // A failed restore leaves model and walkers partially
-                // mutated; rebuild both and fall through to a cold
-                // warmup (which rewrites the stale snapshot).
-                build();
-                model = std::make_unique<core::CoreModel>(cfg);
-            }
-        }
-    }
-    if (!restored) {
-        model->beginRun(ptrs);
-        model->advance(opts.warmupInstrs);
-        if (!ckptPath.empty()) {
-            ckpt::CheckpointMeta meta;
-            meta.configName = cfg.name;
-            meta.workload = profile.name;
-            meta.warmupInstrs = opts.warmupInstrs;
-            meta.seed = profile.seed;
-            auto ck = ckpt::Checkpoint::capture(*model, walkers, meta);
-            // Best-effort: an unwritable snapshot directory degrades
-            // to re-simulating warmups, never fails the bench.
-            auto st = ck.save(ckptPath);
-            (void)st;
-        }
-    }
+    model.beginRun(ptrs);
+    model.advance(opts.warmupInstrs);
 
     SuiteEntry entry;
     entry.workload = profile.name;
     const auto mStart = std::chrono::steady_clock::now();
-    entry.run = model->measure(opts);
+    entry.run = model.measure(opts);
     const std::chrono::duration<double> mWall =
         std::chrono::steady_clock::now() - mStart;
-    // sim_instrs provenance counts what was actually simulated (a
-    // restored warmup cost no simulation); host-MIPS counts only the
-    // measured window just timed.
-    accountSimInstrs((restored ? 0 : opts.warmupInstrs) +
-                     entry.run.instrs);
+    accountSimInstrs(opts.warmupInstrs + entry.run.instrs);
     accountMeasured(entry.run.instrs, mWall.count());
     power::EnergyModel energy(cfg);
     entry.power = energy.evalCounters(entry.run);

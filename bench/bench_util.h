@@ -37,13 +37,6 @@ namespace p10ee::bench {
  *   --instrs <n>    override the bench's measurement window
  *   --warmup <n>    override the bench's warmup window
  *   --jobs <n>      worker threads for runGrid-parallel benches
- *   --ckpt-dir <d>  memoize warmup snapshots: runOne checkpoints the
- *                   machine after warmup into <d> (content-addressed
- *                   on config + profile + smt + warmup) and later
- *                   invocations restore instead of re-simulating the
- *                   warmup; measured results are bit-identical either
- *                   way (meta sim_instrs/host_mips count only what was
- *                   actually simulated)
  *
  * Typical use:
  *   auto ctx = bench::benchInit(argc, argv, "bench_table1");
@@ -60,7 +53,6 @@ struct BenchContext
     uint64_t warmupOverride = 0;
     bool warmupSet = false;
     int jobs = 1; ///< worker threads for runGrid (1 = serial)
-    std::string ckptDir; ///< empty = warmup snapshots not requested
     bool helpRequested = false; ///< --help seen (tryBenchInit callers)
     std::string helpText;       ///< generated from the flag table
     std::chrono::steady_clock::time_point start;
@@ -82,11 +74,11 @@ struct BenchContext
 
 /**
  * Parse the shared bench flags and start the wall clock — the
- * Expected-propagating core. Unknown flags, malformed values and an
- * uncreatable --ckpt-dir come back as structured Errors (never an exit
- * or a throw), so a serving process can embed a bench run the same way
- * the facade embeds everything else. `--help` sets ctx.helpRequested
- * with the generated text in ctx.helpText.
+ * Expected-propagating core. Unknown flags and malformed values come
+ * back as structured Errors (never an exit or a throw), so a serving
+ * process can embed a bench run the same way the facade embeds
+ * everything else. `--help` sets ctx.helpRequested with the generated
+ * text in ctx.helpText.
  */
 common::Expected<BenchContext> tryBenchInit(int argc, char** argv,
                                             const std::string& tool);

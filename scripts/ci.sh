@@ -377,18 +377,20 @@ fi
 # Bench smoke: every bench binary must run on a tiny budget and emit a
 # schema-valid machine-readable report; the CLI must emit a loadable
 # Perfetto trace. Validation failures fail CI — schema drift breaks
-# here instead of in downstream consumers.
+# here instead of in downstream consumers. The benches are enumerated
+# from bench/*.cpp, not from the build directory, which keeps the
+# binaries of deleted targets; a source whose binary is missing fails.
+# The smoke dir starts empty, so no stale report is ever validated.
 echo "=== bench smoke: JSON reports + trace validation ==="
 smoke_dir="build-release/bench-smoke"
+rm -rf "${smoke_dir}"
 mkdir -p "${smoke_dir}"
-for bench in build-release/bench/bench_*; do
-    { [ -f "${bench}" ] && [ -x "${bench}" ]; } || continue
-    name="$(basename "${bench}")"
+for src in bench/bench_*.cpp; do
+    name="$(basename "${src}" .cpp)"
+    [ "${name}" = "bench_util" ] && continue
+    bench="build-release/bench/${name}"
     json="${smoke_dir}/BENCH_${name#bench_}.json"
     case "${name}" in
-    bench_micro_kernels)
-        args=(--out "${json}" --benchmark_min_time=0.01)
-        ;;
     bench_fault_campaign)
         # --instrs scales the injection count for this bench.
         args=(--out "${json}" --instrs 30 --warmup 500)
@@ -467,16 +469,25 @@ fleet_smoke build-release release
 trace_smoke build-release release
 chip_smoke build-release release
 
-# Bench baseline diff: the committed baseline is the bench_merge of
-# the fleet-throughput and core-MIPS reports, so CI merges the same
-# two smoke artifacts and tolerance-diffs the union — catches a bench
-# that silently stops measuring, emits zeros, or regresses by an
-# order of magnitude, while tolerating host-to-host variance.
-echo "=== bench baseline diff: fleet + core MIPS vs committed baseline ==="
-python3 scripts/bench_merge.py --out "${smoke_dir}/BENCH_merged.json" \
-    "${smoke_dir}/BENCH_fleet.json" "${smoke_dir}/BENCH_core_mips.json"
-python3 scripts/bench_diff.py BENCH_2026-08-07.json \
-    "${smoke_dir}/BENCH_merged.json"
+# Benchmark output checks: perf/run.py (BENCHMARK.json's command)
+# builds its own RelWithDebInfo tree under perf/build-perf and exits 1
+# when an output check fails — a timed pass whose digest differs from
+# the warm-up's, a warm (all-hit) storm that differs from the cold one,
+# a fleet report that differs from the in-process one, or a failed
+# shard. Untraced only: a traced run adds a layer-sum check, which is a
+# timing bound that needs the benchmark's full 18 s window and can trip
+# on a 1 s run; speed itself is judged by perf/compare.py, not here.
+echo "=== benchmark: compare.py rule tests + untraced output checks ==="
+python3 -m unittest perf/test_compare.py
+for workload in core_long chip_trace storm_cold storm_warm fleet; do
+    echo "--- benchmark: ${workload}"
+    out="${smoke_dir}/PERF_${workload}.txt"
+    if ! python3 perf/run.py --workload "${workload}" --seed 1 \
+        --seconds 1 --trace 0 > "${out}"; then
+        grep '^# check failed' "${out}" >&2 || true
+        exit 1
+    fi
+done
 
 # halt_on_error makes any UBSan finding fail ctest instead of printing
 # and continuing; detect_leaks stays on by default under ASan.

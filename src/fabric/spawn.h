@@ -4,10 +4,10 @@
  * ports and manage their lifecycle.
  *
  * This is the fabric's test and single-host substrate. `p10fleet
- * --spawn N`, the chaos suite, and `bench_fleet` all need real worker
- * *processes* (a killed thread proves nothing about a killed worker),
- * so this module forks the actual daemon binary, parses the
- * "p10d: listening on 127.0.0.1:<port>" announcement from its piped
+ * --spawn N`, the chaos suite, and the benchmark's `fleet` workload all
+ * need real worker *processes* (a killed thread proves nothing about a
+ * killed worker), so this module forks the actual daemon binary, parses
+ * the "p10d: listening on 127.0.0.1:<port>" announcement from its piped
  * stdout, and hands back (pid, port) pairs the chaos harness can
  * SIGKILL / SIGSTOP mid-sweep.
  *

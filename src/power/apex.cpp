@@ -9,6 +9,28 @@
 
 namespace p10ee::power {
 
+namespace {
+
+/** Wall seconds of the fastest of @p runs calls of @p fn. */
+template <typename Fn>
+double
+bestSeconds(int runs, Fn&& fn)
+{
+    using Clock = std::chrono::steady_clock;
+    double best = 0.0;
+    for (int i = 0; i < runs; ++i) {
+        const auto t0 = Clock::now();
+        fn();
+        const double s =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        if (i == 0 || s < best)
+            best = s;
+    }
+    return best;
+}
+
+} // namespace
+
 ApexExtractor::ApexExtractor(const EnergyModel& model,
                              uint64_t intervalCycles)
     : model_(model), interval_(intervalCycles)
@@ -47,18 +69,21 @@ ApexComparison
 compareApexVsDetailed(const EnergyModel& model, const core::RunResult& run,
                       uint64_t intervalCycles)
 {
-    using Clock = std::chrono::steady_clock;
     ApexComparison cmp;
-
-    auto t0 = Clock::now();
-    std::vector<float> detailed = model.perCyclePower(run);
-    auto t1 = Clock::now();
+    // Each path's time is the fastest of several calls. One APEX call
+    // takes a few milliseconds at most, so a single sample is at the
+    // mercy of one preemption (or of the detailed path's first touch of
+    // its per-cycle vector); the minimum is the cost of the work itself.
+    constexpr int kTimedRuns = 5;
     ApexExtractor apex(model, intervalCycles);
-    std::vector<float> fast = apex.intervalPower(run);
-    auto t2 = Clock::now();
-
-    cmp.detailedSeconds = std::chrono::duration<double>(t1 - t0).count();
-    cmp.apexSeconds = std::chrono::duration<double>(t2 - t1).count();
+    std::vector<float> detailed;
+    std::vector<float> fast;
+    cmp.detailedSeconds = bestSeconds(kTimedRuns, [&] {
+        detailed = model.perCyclePower(run);
+    });
+    cmp.apexSeconds = bestSeconds(kTimedRuns, [&] {
+        fast = apex.intervalPower(run);
+    });
     cmp.speedup = cmp.apexSeconds > 0.0
         ? cmp.detailedSeconds / cmp.apexSeconds
         : 0.0;
